@@ -149,12 +149,12 @@ func liveRender(f *simflag.Sim, skip, rows, cols int64, recordPath string) error
 		if err != nil {
 			return err
 		}
-		m.SetSink(sinkFunc(func(ev core.PipeEvent) {
+		m.SetSink(core.SinkFunc(func(ev core.PipeEvent) {
 			rec.Event(ev)
 			collect(ev)
 		}))
 	} else {
-		m.SetObserver(collect)
+		m.SetSink(core.SinkFunc(collect))
 	}
 
 	if _, err := m.Run(); err != nil {
@@ -172,10 +172,6 @@ func liveRender(f *simflag.Sim, skip, rows, cols int64, recordPath string) error
 	render(rowsBySeq, t0, cols)
 	return nil
 }
-
-type sinkFunc func(core.PipeEvent)
-
-func (fn sinkFunc) Event(ev core.PipeEvent) { fn(ev) }
 
 // replayRender renders a window of a recorded stream without
 // simulating: seek to the requested cycle (or the stream's first

@@ -1,19 +1,15 @@
 // Command simd serves simulations over HTTP: the v1 wire API
-// (internal/api) in front of the batch engine, with a
+// (internal/api) in front of the in-process batch engine, with a
 // content-addressed result store so a spec ever simulates once, a
 // singleflight collapsing concurrent duplicate submissions, and SSE
-// progress streaming. With -shards N it runs N worker processes
-// pulling from a shared filesystem queue instead of simulating
-// in-process.
+// progress streaming. -par bounds how many simulations run at once.
 //
 // Usage:
 //
-//	simd -addr localhost:8080 -data simd-data
-//	simd -addr localhost:8080 -data simd-data -shards 4
+//	simd -addr localhost:8080 -data simd-data -par 4
 //	simd -loadtest 1000 -requests 5 -base http://localhost:8080 -bench mcf -scheme TkSel
 //
-// The same binary is its own shard worker (-worker K, spawned by the
-// coordinator) and its own load generator (-loadtest N).
+// The same binary is its own load generator (-loadtest N).
 package main
 
 import (
@@ -24,11 +20,8 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -40,10 +33,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
-	data := flag.String("data", "simd-data", "data directory (store, queue, journals)")
-	shards := flag.Int("shards", 0, "worker processes pulling from a shared queue (0 = simulate in-process)")
-	worker := flag.Int("worker", -1, "run as shard worker K (spawned by the coordinator)")
-	par := flag.Int("par", 0, "max concurrent simulations (0 = NumCPU, split across shards)")
+	data := flag.String("data", "simd-data", "data directory (result store and engine journal)")
+	par := flag.Int("par", 0, "max concurrent simulations (0 = NumCPU)")
 	loadClients := flag.Int("loadtest", 0, "run a load test with N concurrent clients against -base, print the report, exit")
 	loadReqs := flag.Int("requests", 5, "requests per client under -loadtest")
 	base := flag.String("base", "http://localhost:8080", "server URL for -loadtest")
@@ -68,54 +59,24 @@ func main() {
 
 	opts := f.Options()
 	opts.Parallelism = *par
-	switch {
-	case *loadClients > 0:
+	if *loadClients > 0 {
 		runLoadtest(ctx, *base, *loadClients, *loadReqs, f)
-	case *worker >= 0:
-		if err := serve.RunWorker(ctx, *data, *worker, opts); err != nil {
-			log.Fatalf("simd: worker %d: %v", *worker, err)
-		}
-	default:
-		runCoordinator(ctx, *addr, *data, *shards, opts, f)
+		return
 	}
+	runServer(ctx, *addr, *data, opts)
 }
 
-// runCoordinator serves the v1 API, either over an in-process engine
-// (shards == 0) or over a queue drained by spawned worker processes.
-func runCoordinator(ctx context.Context, addr, data string, shards int, opts sim.Options, f *simflag.Sim) {
+// runServer serves the v1 API over an in-process engine until ctx is
+// canceled.
+func runServer(ctx context.Context, addr, data string, opts sim.Options) {
 	store, err := serve.OpenStore(filepath.Join(data, "store"))
 	if err != nil {
 		log.Fatalf("simd: %v", err)
 	}
-	cfg := serve.Config{Store: store, Shards: shards, Logf: log.Printf}
-
-	var workers []*exec.Cmd
-	if shards == 0 {
-		opts.Journal = filepath.Join(data, "engine.jsonl")
-		eng := sim.NewEngine(opts)
-		defer eng.Close()
-		cfg.Engine = eng
-	} else {
-		queue, err := serve.OpenQueue(filepath.Join(data, "queue"))
-		if err != nil {
-			log.Fatalf("simd: %v", err)
-		}
-		if n, err := queue.Recover(); err != nil {
-			log.Fatalf("simd: %v", err)
-		} else if n > 0 {
-			log.Printf("simd: requeued %d claims from dead workers", n)
-		}
-		if n, err := serve.MergeShardJournals(data, store, opts); err != nil {
-			log.Fatalf("simd: %v", err)
-		} else if n > 0 {
-			log.Printf("simd: merged %d results from shard journals", n)
-		}
-		cfg.Queue = queue
-		cfg.Opts = opts
-		workers = spawnWorkers(ctx, data, shards, opts, f)
-	}
-
-	srv, err := serve.New(cfg)
+	opts.Journal = filepath.Join(data, "engine.jsonl")
+	eng := sim.NewEngine(opts)
+	defer eng.Close()
+	srv, err := serve.New(serve.Config{Store: store, Engine: eng, Logf: log.Printf})
 	if err != nil {
 		log.Fatalf("simd: %v", err)
 	}
@@ -127,48 +88,10 @@ func runCoordinator(ctx context.Context, addr, data string, shards int, opts sim
 		defer cancel()
 		hs.Shutdown(sctx)
 	}()
-	log.Printf("simd: serving %s on http://%s (data %s, shards %d)", api.Version, addr, data, shards)
+	log.Printf("simd: serving %s on http://%s (data %s, par %d)", api.Version, addr, data, eng.Options().Parallelism)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("simd: %v", err)
 	}
-	for _, w := range workers {
-		w.Wait()
-	}
-}
-
-// spawnWorkers starts one simd -worker process per shard, splitting
-// the machine's cores between them. The workers share the
-// coordinator's context: interrupting simd shuts the whole tree down.
-func spawnWorkers(ctx context.Context, data string, shards int, opts sim.Options, f *simflag.Sim) []*exec.Cmd {
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatalf("simd: %v", err)
-	}
-	cores := opts.Parallelism
-	if cores == 0 {
-		cores = runtime.NumCPU()
-	}
-	perWorker := max(1, cores/shards)
-	var workers []*exec.Cmd
-	for k := 0; k < shards; k++ {
-		cmd := exec.CommandContext(ctx, exe,
-			"-worker", strconv.Itoa(k),
-			"-data", data,
-			"-par", strconv.Itoa(perWorker),
-			"-insts", strconv.FormatInt(opts.Insts, 10),
-			"-warmup", strconv.FormatInt(opts.Warmup, 10),
-			"-seed", strconv.FormatInt(opts.Seed, 10),
-			"-check", f.CheckName,
-		)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			log.Fatalf("simd: starting worker %d: %v", k, err)
-		}
-		workers = append(workers, cmd)
-	}
-	log.Printf("simd: started %d shard workers (%d-way parallel each)", shards, perWorker)
-	return workers
 }
 
 // runLoadtest hammers a running server with the flag-selected spec and

@@ -90,7 +90,7 @@ func TestMaxParentLoadsBoundsSimulator(t *testing.T) {
 	}
 
 	empMax := 0
-	m.SetObserver(func(ev core.PipeEvent) {
+	m.SetSink(core.SinkFunc(func(ev core.PipeEvent) {
 		if ev.Kind != core.EvIssue || int(ev.Seq) >= len(mirror) {
 			return
 		}
@@ -100,7 +100,7 @@ func TestMaxParentLoadsBoundsSimulator(t *testing.T) {
 		slot := ev.Seq & (window - 1)
 		lastIssue[slot] = ev.Cycle
 		issuedSeq[slot] = ev.Seq
-	})
+	}))
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -140,8 +140,8 @@ type Progress struct {
 	// Collapsed counts duplicate in-flight submissions folded into a
 	// leader's run by the service-level singleflight.
 	Collapsed int64 `json:"collapsed"`
-	// EngineRuns counts specs that reached an engine (or the shard
-	// queue): the work the cache tiers failed to absorb.
+	// EngineRuns counts specs that reached the engine: the work the
+	// cache tiers failed to absorb.
 	EngineRuns int64 `json:"engineRuns"`
 	// Resumed, Retried and Warmed mirror the engine's journal-replay,
 	// fresh-machine-retry and checkpoint-warm-start counters.
@@ -154,14 +154,14 @@ type Progress struct {
 	ElapsedMS int64 `json:"elapsedMs"`
 }
 
-// Info describes a server (GET /v1/info): its pinned run lengths, its
-// shard topology, the registries it serves, and a progress snapshot.
+// Info describes a server (GET /v1/info): its pinned run lengths, the
+// registries it serves, and a progress snapshot.
 type Info struct {
 	API    string `json:"api"`
 	Insts  int64  `json:"insts"`
 	Warmup int64  `json:"warmup"`
 	Seed   int64  `json:"seed"`
-	// Shards is the worker-process count; 0 means the in-process engine.
+	// Shards is always 0; kept for v1 wire stability.
 	Shards  int      `json:"shards"`
 	Schemes []string `json:"schemes"`
 	Benches []string `json:"benches"`

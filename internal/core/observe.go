@@ -69,27 +69,18 @@ type EventSink interface {
 	Event(PipeEvent)
 }
 
-// funcSink adapts a bare callback to the EventSink interface so
-// SetObserver keeps working on top of the unified sink path.
-type funcSink struct{ f func(PipeEvent) }
+// SinkFunc adapts an ordinary function to the EventSink interface:
+// SetSink(SinkFunc(f)) calls f for every event.
+type SinkFunc func(PipeEvent)
 
-func (s funcSink) Event(ev PipeEvent) { s.f(ev) }
+// Event calls f(ev).
+func (f SinkFunc) Event(ev PipeEvent) { f(ev) }
 
 // SetSink installs the machine's event sink, receiving every pipeline
 // lifecycle event (fetch through retire). Observation is for tooling
 // and has no effect on simulation; pass nil to disable. Must be set
 // after New/Reset and before Run.
 func (m *Machine) SetSink(s EventSink) { m.sink = s }
-
-// SetObserver installs a callback receiving every pipeline lifecycle
-// event; it is SetSink with a function adapter. Pass nil to disable.
-func (m *Machine) SetObserver(f func(PipeEvent)) {
-	if f == nil {
-		m.sink = nil
-		return
-	}
-	m.sink = funcSink{f: f}
-}
 
 // EventCount returns how many pipeline events the machine has emitted
 // so far. The count advances identically whether or not a sink or

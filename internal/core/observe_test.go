@@ -15,9 +15,9 @@ func TestObserverLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := map[int64][]PipeEvent{}
-	m.SetObserver(func(ev PipeEvent) {
+	m.SetSink(SinkFunc(func(ev PipeEvent) {
 		events[ev.Seq] = append(events[ev.Seq], ev)
-	})
+	}))
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

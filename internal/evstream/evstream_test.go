@@ -34,7 +34,7 @@ func recordRun(t testing.TB, cfg core.Config, seed int64) ([]byte, []core.PipeEv
 		t.Fatal(err)
 	}
 	var seen []core.PipeEvent
-	m.SetSink(sinkFunc(func(ev core.PipeEvent) {
+	m.SetSink(core.SinkFunc(func(ev core.PipeEvent) {
 		rec.Event(ev)
 		seen = append(seen, ev)
 	}))
@@ -49,10 +49,6 @@ func recordRun(t testing.TB, cfg core.Config, seed int64) ([]byte, []core.PipeEv
 	}
 	return buf.Bytes(), seen
 }
-
-type sinkFunc func(core.PipeEvent)
-
-func (f sinkFunc) Event(ev core.PipeEvent) { f(ev) }
 
 func testConfig(scheme core.Scheme) core.Config {
 	cfg := core.Config4Wide()

@@ -26,27 +26,16 @@ import (
 // request queue unbounded work.
 const maxSweepSpecs = 4096
 
-// Config assembles a Server. Exactly one of Engine (in-process
-// execution) and Queue (shard workers execute) must be set.
+// Config assembles a Server.
 type Config struct {
 	// Store is the content-addressed result store. Required.
 	Store *Store
-	// Engine executes submissions in-process when set.
+	// Engine executes submissions; its effective options pin the
+	// server's run lengths (Insts, Warmup, Seed) and normalization
+	// defaults. Required.
 	Engine *sim.Engine
-	// Queue hands submissions to shard worker processes when set.
-	Queue *Queue
-	// Opts pins the server's run lengths (Insts, Warmup, Seed) and, in
-	// queue mode, the normalization defaults. With an Engine the
-	// engine's own effective options are used and Opts is ignored.
-	Opts sim.Options
-	// Shards is the worker-process count reported by /v1/info; 0 means
-	// the in-process engine.
-	Shards int
 	// SSEInterval is the progress-event cadence; 0 takes 100ms.
 	SSEInterval time.Duration
-	// PollInterval is how often queue mode re-checks the store for a
-	// worker's result; 0 takes 10ms.
-	PollInterval time.Duration
 	// Logf, when set, receives one line per noteworthy server event.
 	Logf func(format string, args ...any)
 }
@@ -54,9 +43,10 @@ type Config struct {
 // flight is the service-level duplicate-suppression record: the first
 // submission of a key becomes the leader and computes; concurrent
 // submissions of the same key wait on ready and share the leader's
-// bytes. This sits above the engine's own per-Spec singleflight
-// because in queue mode there is no engine in this process — the
-// collapse must happen before the filesystem queue.
+// bytes. The engine has its own per-Spec singleflight, but collapsing
+// here, above it, is what lets followers report X-Cache: collapsed and
+// has each key's result marshaled and written to the store once rather
+// than once per waiting request.
 type flight struct {
 	ready chan struct{}
 	body  []byte
@@ -64,25 +54,21 @@ type flight struct {
 }
 
 // Server is the simd HTTP server: the v1 wire API over a store, a
-// singleflight, and an execution tier (in-process engine or shard
-// queue). It implements http.Handler.
+// singleflight, and the in-process engine. It implements http.Handler.
 type Server struct {
-	store     *Store
-	engine    *sim.Engine
-	queue     *Queue
-	opts      sim.Options
-	shards    int
-	sseEvery  time.Duration
-	pollEvery time.Duration
-	logf      func(format string, args ...any)
-	start     time.Time
-	mux       *http.ServeMux
+	store    *Store
+	engine   *sim.Engine
+	opts     sim.Options
+	sseEvery time.Duration
+	logf     func(format string, args ...any)
+	start    time.Time
+	mux      *http.ServeMux
 
 	mu      sync.Mutex
 	flights map[string]*flight
 
 	// Request-level counters; the engine-level ones (resumed, retried,
-	// warmed, insts) are read live from the engine when there is one.
+	// warmed, insts) are read live from the engine.
 	queued     atomic.Int64
 	running    atomic.Int64
 	done       atomic.Int64
@@ -100,35 +86,26 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("serve: Config.Store is required")
 	}
-	if (cfg.Engine == nil) == (cfg.Queue == nil) {
-		return nil, errors.New("serve: exactly one of Config.Engine and Config.Queue must be set")
+	if cfg.Engine == nil {
+		return nil, errors.New("serve: Config.Engine is required")
 	}
-	opts := cfg.Opts
-	if cfg.Engine != nil {
-		opts = cfg.Engine.Options()
-	}
+	opts := cfg.Engine.Options()
 	if opts.Insts <= 0 || opts.Warmup <= 0 || opts.Seed <= 0 {
-		return nil, errors.New("serve: Config.Opts must pin Insts, Warmup and Seed")
+		return nil, errors.New("serve: the engine must pin positive Insts, Warmup and Seed")
 	}
 	s := &Server{
-		store:     cfg.Store,
-		engine:    cfg.Engine,
-		queue:     cfg.Queue,
-		opts:      opts,
-		shards:    cfg.Shards,
-		sseEvery:  cfg.SSEInterval,
-		pollEvery: cfg.PollInterval,
-		logf:      cfg.Logf,
-		start:     time.Now(),
-		mux:       http.NewServeMux(),
-		flights:   make(map[string]*flight),
-		quit:      make(chan struct{}),
+		store:    cfg.Store,
+		engine:   cfg.Engine,
+		opts:     opts,
+		sseEvery: cfg.SSEInterval,
+		logf:     cfg.Logf,
+		start:    time.Now(),
+		mux:      http.NewServeMux(),
+		flights:  make(map[string]*flight),
+		quit:     make(chan struct{}),
 	}
 	if s.sseEvery <= 0 {
 		s.sseEvery = 100 * time.Millisecond
-	}
-	if s.pollEvery <= 0 {
-		s.pollEvery = 10 * time.Millisecond
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
@@ -145,8 +122,8 @@ func New(cfg Config) (*Server, error) {
 // ServeHTTP dispatches to the v1 routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close releases every blocked handler (singleflight followers, queue
-// polls, SSE streams). Safe to call more than once; in-flight requests
+// Close releases every blocked handler (singleflight followers, SSE
+// streams). Safe to call more than once; in-flight requests
 // finish with an error rather than hanging.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { close(s.quit) })
@@ -157,9 +134,9 @@ func isCtxErr(err error) bool {
 }
 
 // answer resolves one normalized spec through the tiers: store hit,
-// singleflight follow, or a leader computation (engine run or queue
-// round-trip). tier reports which ("hit", "collapsed", "miss") for the
-// X-Cache response header and the load test's accounting.
+// singleflight follow, or a leader computation on the engine. tier
+// reports which ("hit", "collapsed", "miss") for the X-Cache response
+// header and the load test's accounting.
 func (s *Server) answer(ctx context.Context, spec sim.Spec) (body []byte, tier string, err error) {
 	key := api.Key(spec, s.opts.Insts, s.opts.Warmup, s.opts.Seed)
 	for {
@@ -202,60 +179,30 @@ func (s *Server) answer(ctx context.Context, spec sim.Spec) (body []byte, tier s
 	}
 }
 
-// compute executes one key as singleflight leader: in-process through
-// the engine, or by enqueueing for a shard worker and polling the
-// shared store for its answer.
+// compute executes one key as singleflight leader: simulate on the
+// engine, then persist the marshaled result to the store.
 func (s *Server) compute(ctx context.Context, key string, spec sim.Spec) ([]byte, error) {
 	s.engineRuns.Add(1)
 	s.running.Add(1)
 	defer s.running.Add(-1)
-	if s.engine != nil {
-		out, err := s.engine.Run(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		res := api.FromRunOut(out, s.opts.Insts, s.opts.Warmup, s.opts.Seed)
-		b, err := json.Marshal(res)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %s: %w", key, err)
-		}
-		if err := s.store.Put(key, b); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	req := api.RunRequest{
-		Spec:   api.FromSimSpec(spec),
-		Insts:  s.opts.Insts,
-		Warmup: s.opts.Warmup,
-		Seed:   s.opts.Seed,
-	}
-	if err := s.queue.Enqueue(key, req); err != nil {
+	out, err := s.engine.Run(ctx, spec)
+	if err != nil {
 		return nil, err
 	}
-	tick := time.NewTicker(s.pollEvery)
-	defer tick.Stop()
-	for {
-		if b, ok := s.store.Get(key); ok {
-			return b, nil
-		}
-		if msg, ok := s.store.TakeFailure(key); ok {
-			return nil, fmt.Errorf("serve: shard worker: %s", msg)
-		}
-		select {
-		case <-tick.C:
-		case <-ctx.Done():
-			return nil, fmt.Errorf("serve: %s: %w", key, ctx.Err())
-		case <-s.quit:
-			return nil, errors.New("serve: server closed")
-		}
+	res := api.FromRunOut(out, s.opts.Insts, s.opts.Warmup, s.opts.Seed)
+	b, err := json.Marshal(res)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %s: %w", key, err)
 	}
+	if err := s.store.Put(key, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // parseSpec converts and vets one wire spec: scheme and check level
 // resolve, and the benchmark exists in the workload registry — so bad
-// submissions are a 400 at the front door, not a failure marker from a
-// shard minutes later.
+// submissions are a 400 at the front door, not an engine failure.
 func (s *Server) parseSpec(ws api.Spec) (sim.Spec, error) {
 	spec, err := ws.ToSim()
 	if err != nil {
@@ -341,8 +288,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.queued.Add(1)
 		wg.Add(1)
 		// One goroutine per spec; actual simulation concurrency is
-		// bounded below by the engine's machine pool (or the shard
-		// count), and duplicates collapse in the singleflight.
+		// bounded below by the engine's machine pool, and duplicates
+		// collapse in the singleflight.
 		go func(i int, ws api.Spec, spec sim.Spec) {
 			defer wg.Done()
 			body, _, err := s.answer(r.Context(), spec)
@@ -400,7 +347,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Insts:        s.opts.Insts,
 		Warmup:       s.opts.Warmup,
 		Seed:         s.opts.Seed,
-		Shards:       s.shards,
 		Schemes:      core.SchemeNames(),
 		Benches:      benches,
 		Bpreds:       bpred.KindNames(),
@@ -416,12 +362,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // progress assembles the wire progress snapshot: request-level
-// counters from the server, simulation-level ones from the in-process
-// engine when there is one. In shard mode the engine counters live in
-// the workers and read as zero here; their work still shows up in
-// engineRuns and the store.
+// counters from the server, simulation-level ones from the engine.
 func (s *Server) progress() api.Progress {
-	p := api.Progress{
+	snap := s.engine.Snapshot()
+	return api.Progress{
 		Queued:     s.queued.Load(),
 		Running:    s.running.Load(),
 		Done:       s.done.Load(),
@@ -429,16 +373,12 @@ func (s *Server) progress() api.Progress {
 		CacheHits:  s.cacheHits.Load(),
 		Collapsed:  s.collapsed.Load(),
 		EngineRuns: s.engineRuns.Load(),
+		Resumed:    snap.Resumed,
+		Retried:    snap.Retried,
+		Warmed:     snap.Warmed,
+		Insts:      snap.Insts,
 		ElapsedMS:  time.Since(s.start).Milliseconds(),
 	}
-	if s.engine != nil {
-		snap := s.engine.Snapshot()
-		p.Resumed = snap.Resumed
-		p.Retried = snap.Retried
-		p.Warmed = snap.Warmed
-		p.Insts = snap.Insts
-	}
-	return p
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {

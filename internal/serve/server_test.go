@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,11 +31,17 @@ func testOpts() sim.Options {
 // store and hangs an httptest server in front of it.
 func newEngineServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
+	return newServerWith(t, testOpts())
+}
+
+// newServerWith is newEngineServer over an engine built from opts.
+func newServerWith(t *testing.T, opts sim.Options) (*Server, *httptest.Server) {
+	t.Helper()
 	store, err := OpenStore(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine(testOpts())
+	eng := sim.NewEngine(opts)
 	srv, err := New(Config{Store: store, Engine: eng, SSEInterval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +152,7 @@ func TestRunRejectsBadSubmissions(t *testing.T) {
 	// Matching explicit lengths are accepted.
 	o := testOpts()
 	resp, body := postRun(t, ts.URL, api.RunRequest{
-		Spec: api.Spec{Bench: "gcc", Scheme: "PosSel"},
+		Spec:  api.Spec{Bench: "gcc", Scheme: "PosSel"},
 		Insts: o.Insts, Warmup: o.Warmup, Seed: o.Seed,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -286,29 +294,44 @@ func TestClientIsARunner(t *testing.T) {
 	}
 }
 
+// holdLeader arms opts so the first simulation the engine starts
+// parks until release is called. OnProgress runs in the leader's exec
+// right after it takes a machine slot (Running becomes 1), so a parked
+// leader keeps its key in flight while a test piles work onto it.
+// release is idempotent; defer it so a failing test never leaves the
+// leader, and the httptest server waiting on it, hanging.
+func holdLeader(opts *sim.Options) (release func()) {
+	hold := make(chan struct{})
+	var park, unpark sync.Once
+	opts.OnProgress = func(snap sim.Snapshot) {
+		if snap.Running == 1 {
+			park.Do(func() { <-hold })
+		}
+	}
+	return func() { unpark.Do(func() { close(hold) }) }
+}
+
+// waitUntil polls cond until it holds, failing the test after 10s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestSingleflightCollapse proves the acceptance property directly: N
 // concurrent submissions of one cold spec reach the engine exactly
-// once. Queue mode makes it deterministic — the leader blocks polling
-// for a worker that is not started until every follower has piled up.
+// once. Parking the leader inside the engine makes it deterministic:
+// it cannot finish until every follower has piled up behind it.
 func TestSingleflightCollapse(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenStore(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queue, err := OpenQueue(filepath.Join(dir, "queue"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := testOpts()
-	srv, err := New(Config{Store: store, Queue: queue, Opts: opts, Shards: 1,
-		PollInterval: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Close()
+	release := holdLeader(&opts)
+	defer release()
+	_, ts := newServerWith(t, opts)
 
 	const followers = 15
 	type reply struct {
@@ -334,25 +357,21 @@ func TestSingleflightCollapse(t *testing.T) {
 	// Wait until every submission is inside the server: one leader
 	// (engineRuns), the rest collapsed onto it.
 	cl := api.NewClient(ts.URL, sim.Options{})
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	var last api.Progress
+	waitUntil(t, "every submission collapsed", func() bool {
 		info, err := cl.Info(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Progress.Collapsed == followers && info.Progress.EngineRuns == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("submissions never collapsed: %+v", info.Progress)
-		}
-		time.Sleep(5 * time.Millisecond)
+		last = info.Progress
+		return last.Collapsed == followers && last.EngineRuns == 1
+	})
+	if last.Running != 1 {
+		t.Fatalf("leader is not parked in the engine: %+v", last)
 	}
 
-	// Only now give the queue a worker.
-	wctx, stopWorker := context.WithCancel(context.Background())
-	workerDone := make(chan error, 1)
-	go func() { workerDone <- RunWorker(wctx, dir, 0, opts) }()
+	// Only now let the leader simulate.
+	release()
 
 	var miss, collapsed int
 	var first []byte
@@ -376,172 +395,79 @@ func TestSingleflightCollapse(t *testing.T) {
 	if miss != 1 || collapsed != followers {
 		t.Errorf("tiers: %d miss, %d collapsed; want 1 and %d", miss, collapsed, followers)
 	}
-	stopWorker()
-	if err := <-workerDone; err != nil {
-		t.Fatalf("worker: %v", err)
-	}
 }
 
-// TestShardWorkerEndToEnd runs the real multi-process protocol
-// in-process: coordinator in queue mode, a worker draining it, shard
-// journals merged back into a wiped store.
-func TestShardWorkerEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenStore(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queue, err := OpenQueue(filepath.Join(dir, "queue"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestLeaderCancelTakeover covers the singleflight's takeover path: a
+// follower whose context is live must not inherit the error of a
+// leader whose own request was canceled; it takes the key over and
+// simulates it itself, with bytes identical to an uncanceled run.
+func TestLeaderCancelTakeover(t *testing.T) {
+	// The machine polls its context every 4096 cycles, so the spec must
+	// run past the first poll for the leader's cancellation to land;
+	// mcf's memory stalls carry even a short run well past it.
 	opts := testOpts()
-	srv, err := New(Config{Store: store, Queue: queue, Opts: opts, Shards: 2,
-		PollInterval: 2 * time.Millisecond})
+	ws := api.Spec{Bench: "mcf", Scheme: "TkSel"}
+
+	ref, _ := newServerWith(t, opts)
+	spec, err := ref.parseSpec(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Close()
-
-	wctx, stopWorkers := context.WithCancel(context.Background())
-	done := make(chan error, 2)
-	for k := 0; k < 2; k++ {
-		go func(k int) { done <- RunWorker(wctx, dir, k, opts) }(k)
-	}
-
-	resp, body := postRun(t, ts.URL, api.RunRequest{Spec: api.Spec{Bench: "gzip", Scheme: "IDSel"}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("queue-mode run: HTTP %d: %s", resp.StatusCode, body)
+	want, tier, err := ref.answer(context.Background(), spec)
+	if err != nil || tier != "miss" {
+		t.Fatalf("reference run: tier %q, err %v", tier, err)
 	}
 	var res api.Result
-	if err := json.Unmarshal(body, &res); err != nil {
+	if err := json.Unmarshal(want, &res); err != nil {
 		t.Fatal(err)
 	}
-	// A second submission is a pure store hit — no queue round-trip.
-	resp, warm := postRun(t, ts.URL, api.RunRequest{Spec: api.Spec{Bench: "gzip", Scheme: "IDSel"}})
-	if got := resp.Header.Get("X-Cache"); got != "hit" {
-		t.Errorf("second submission X-Cache = %q, want hit", got)
-	}
-	if !bytes.Equal(body, warm) {
-		t.Error("store hit returned different bytes than the worker's result")
-	}
-	stopWorkers()
-	for k := 0; k < 2; k++ {
-		if err := <-done; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
+	if res.Stats.Cycles <= 4096 {
+		t.Fatalf("reference run takes %d cycles; the leader would finish before its first cancellation poll",
+			res.Stats.Cycles)
 	}
 
-	// The run is journaled by whichever shard took it. Wipe the store
-	// and rebuild it from the journals alone.
-	if err := os.RemoveAll(filepath.Join(dir, "store")); err != nil {
-		t.Fatal(err)
+	release := holdLeader(&opts)
+	defer release()
+	srv, _ := newServerWith(t, opts)
+	type outcome struct {
+		body []byte
+		tier string
+		err  error
 	}
-	fresh, err := OpenStore(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
+	answer := func(ctx context.Context) <-chan outcome {
+		ch := make(chan outcome, 1)
+		go func() {
+			b, tier, err := srv.answer(ctx, spec)
+			ch <- outcome{b, tier, err}
+		}()
+		return ch
 	}
-	added, err := MergeShardJournals(dir, fresh, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added != 1 {
-		t.Fatalf("merged %d results from shard journals, want 1", added)
-	}
-	merged, ok := fresh.Get(res.Key)
-	if !ok {
-		t.Fatal("merged store is missing the run")
-	}
-	if !bytes.Equal(merged, body) {
-		t.Error("journal-merged result bytes differ from the worker's served bytes")
-	}
-	// Merging again is a no-op.
-	if added, err := MergeShardJournals(dir, fresh, opts); err != nil || added != 0 {
-		t.Errorf("re-merge: added %d, err %v; want 0, nil", added, err)
-	}
-}
 
-// TestWorkerFailureMarker feeds the queue a request the worker cannot
-// execute and checks the failure comes back through the store as an
-// HTTP error, not a hang.
-func TestWorkerFailureMarker(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenStore(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queue, err := OpenQueue(filepath.Join(dir, "queue"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := testOpts()
-	// Bypass the server's front-door validation: enqueue a bench the
-	// worker's registry does not know under a syntactically valid key.
-	key := api.Key(sim.Spec{Bench: "ghost", Scheme: core.PosSel}, opts.Insts, opts.Warmup, opts.Seed)
-	if err := queue.Enqueue(key, api.RunRequest{Spec: api.Spec{Bench: "ghost", Scheme: "PosSel"}}); err != nil {
-		t.Fatal(err)
-	}
-	wctx, stopWorker := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- RunWorker(wctx, dir, 0, opts) }()
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leader := answer(leaderCtx)
+	waitUntil(t, "the leader is parked in the engine", func() bool {
+		return srv.engine.Snapshot().Running == 1
+	})
+	follower := answer(context.Background())
+	waitUntil(t, "the follower collapsed onto the leader", func() bool {
+		return srv.collapsed.Load() == 1
+	})
+	cancelLeader()
+	release()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if msg, ok := store.TakeFailure(key); ok {
-			if msg == "" {
-				t.Error("failure marker is empty")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker never published a failure marker")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if l := <-leader; !errors.Is(l.err, context.Canceled) {
+		t.Fatalf("canceled leader: tier %q, err %v; want context.Canceled", l.tier, l.err)
 	}
-	stopWorker()
-	if err := <-done; err != nil {
-		t.Fatalf("worker: %v", err)
+	f := <-follower
+	if f.err != nil || f.tier != "miss" {
+		t.Fatalf("follower: tier %q, err %v; want a miss after taking over", f.tier, f.err)
 	}
-}
-
-func TestQueueClaimRecover(t *testing.T) {
-	q, err := OpenQueue(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(f.body, want) {
+		t.Error("taken-over run's bytes differ from an uncanceled run's")
 	}
-	key := api.Key(sim.Spec{Bench: "gcc", Scheme: core.PosSel}, 1, 1, 1)
-	req := api.RunRequest{Spec: api.Spec{Bench: "gcc", Scheme: "PosSel"}}
-	if err := q.Enqueue(key, req); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent while pending.
-	if err := q.Enqueue(key, req); err != nil {
-		t.Fatal(err)
-	}
-	k, got, ok, err := q.Claim(3)
-	if err != nil || !ok || k != key || got.Spec != req.Spec {
-		t.Fatalf("claim: %q %v %v %v", k, got, ok, err)
-	}
-	// Nothing left to claim.
-	if _, _, ok, _ := q.Claim(4); ok {
-		t.Fatal("second claim should find nothing")
-	}
-	// Recover strands the claim back to pending, for any shard.
-	n, err := q.Recover()
-	if err != nil || n != 1 {
-		t.Fatalf("recover: %d, %v", n, err)
-	}
-	k, _, ok, err = q.Claim(4)
-	if err != nil || !ok || k != key {
-		t.Fatalf("claim after recover: %q %v %v", k, ok, err)
-	}
-	if err := q.Done(4, key); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := q.Recover(); err != nil || n != 0 {
-		t.Fatalf("recover after done: %d, %v", n, err)
+	if got := srv.progress().EngineRuns; got != 2 {
+		t.Errorf("engine runs = %d, want 2 (the canceled leader and the takeover)", got)
 	}
 }
 
@@ -578,15 +504,21 @@ func TestStoreReopenAndFailures(t *testing.T) {
 	if s2.Len() != 1 {
 		t.Errorf("reopened len = %d, want 1", s2.Len())
 	}
-	// Failure markers are take-once.
-	if err := s2.PutFailure(key, "boom"); err != nil {
+	// The store indexes keys at open and on Put: a file that appears
+	// behind an open store's back is a miss until the next open.
+	other := api.Key(sim.Spec{Bench: "gcc", Scheme: core.TkSel}, 1, 1, 1)
+	if err := os.WriteFile(filepath.Join(dir, other+".json"), []byte(`{"y":2}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if msg, ok := s2.TakeFailure(key); !ok || msg != "boom" {
-		t.Fatalf("take failure: %q %v", msg, ok)
+	if _, ok := s2.Get(other); ok {
+		t.Error("unindexed key served from disk")
 	}
-	if _, ok := s2.TakeFailure(key); ok {
-		t.Error("failure marker should clear on take")
+	s3, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s3.Get(other); !ok || string(got) != `{"y":2}` {
+		t.Fatalf("reopened get of the late file: %q %v", got, ok)
 	}
 }
 

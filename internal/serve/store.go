@@ -1,19 +1,17 @@
 // Package serve is the simulation service: a stdlib net/http front
 // end over the batch engine (internal/sim) speaking the v1 wire API
 // (internal/api), with a content-addressed result store, a
-// service-level singleflight, SSE progress streaming, and an optional
-// multi-process shard mode built on a filesystem queue.
+// service-level singleflight, and SSE progress streaming.
 //
-// The layering mirrors the cache hierarchy the ROADMAP asks for. A
-// submission is answered by the cheapest tier that can:
+// The layering is a cache hierarchy. A submission is answered by the
+// cheapest tier that can:
 //
-//	store hit      — the result's bytes are already on disk; serve them
-//	                 verbatim (identical normalized Specs receive
-//	                 byte-identical bodies, forever)
-//	singleflight   — the same key is being computed right now; wait for
-//	                 the leader and share its bytes
-//	engine / queue — simulate (in process, or on a shard worker pulling
-//	                 from the shared queue), then persist to the store
+//	store hit    — the result's bytes are already stored; serve them
+//	               verbatim (identical normalized Specs receive
+//	               byte-identical bodies, forever)
+//	singleflight — the same key is being computed right now; wait for
+//	               the leader and share its bytes
+//	engine       — simulate in process, then persist to the store
 //
 // The engine underneath adds its own tiers (memoization, journal
 // replay, checkpointed warm starts), so even a store-missing spec
@@ -34,20 +32,17 @@ import (
 // run, named by the v1 content address (api.Key) of the normalized
 // spec and run lengths, holding the marshaled api.Result bytes that
 // every future query for that run is answered with. Writes are
-// tmp+rename atomic, so concurrent writers (the server and N shard
-// workers share one directory) race benignly: both write the same
-// bytes under the same name.
-//
-// Alongside results the store holds failure markers (<key>.error) —
-// how a shard worker reports a permanent failure back to the
-// coordinator without a return channel.
+// tmp+rename atomic, so a crash never leaves a torn result behind. The
+// store assumes it is the directory's only writer: keys are indexed at
+// open and on Put, and a key outside that index is a miss without a
+// disk probe.
 type Store struct {
 	dir string
 
 	mu  sync.Mutex
 	mem map[string][]byte // loaded result bytes, by key
-	// onDisk indexes keys present in the directory but not yet loaded,
-	// so Len and Has need no disk walk after open.
+	// onDisk indexes every stored key, loaded or not: filled at open
+	// and on every Put, it is the store's whole view of its directory.
 	onDisk map[string]bool
 }
 
@@ -77,13 +72,7 @@ func OpenStore(dir string) (*Store, error) {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.mem)
-	for key := range s.onDisk {
-		if _, loaded := s.mem[key]; !loaded {
-			n++
-		}
-	}
-	return n
+	return len(s.onDisk)
 }
 
 // Get returns the stored result bytes for key. The first disk hit per
@@ -98,14 +87,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	onDisk := s.onDisk[key]
 	s.mu.Unlock()
 	if !onDisk {
-		// A concurrent writer (another process in shard mode) may have
-		// added the file after open; check the disk before giving up.
-		b, err := os.ReadFile(s.path(key))
-		if err != nil {
-			return nil, false
-		}
-		s.remember(key, b)
-		return b, true
+		return nil, false
 	}
 	b, err := os.ReadFile(s.path(key))
 	if err != nil {
@@ -150,27 +132,4 @@ func (s *Store) Put(key string, b []byte) error {
 	return nil
 }
 
-// PutFailure records a permanent per-key failure marker (shard workers
-// report errors through the store; the coordinator turns them into
-// HTTP errors).
-func (s *Store) PutFailure(key, msg string) error {
-	if !api.ValidKey(key) {
-		return fmt.Errorf("serve: store: malformed key %q", key)
-	}
-	return os.WriteFile(s.errPath(key), []byte(msg), 0o644)
-}
-
-// TakeFailure returns and clears the failure marker for key, if one
-// exists. Clearing means a transient fault (or a fixed bug) does not
-// poison the key forever: the next submission re-attempts.
-func (s *Store) TakeFailure(key string) (string, bool) {
-	b, err := os.ReadFile(s.errPath(key))
-	if err != nil {
-		return "", false
-	}
-	os.Remove(s.errPath(key))
-	return string(b), true
-}
-
-func (s *Store) path(key string) string    { return filepath.Join(s.dir, key+".json") }
-func (s *Store) errPath(key string) string { return filepath.Join(s.dir, key+".error") }
+func (s *Store) path(key string) string { return filepath.Join(s.dir, key+".json") }

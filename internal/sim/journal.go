@@ -41,9 +41,9 @@ type journal struct {
 
 // ReadJournal loads the replayable runs a journal holds for the given
 // options (normalized-spec keyed), plus the count of lines it skipped.
-// The sharded service coordinator uses it to merge per-worker journals
-// into the content-addressed store; the engine's own resume path goes
-// through loadJournal so it can also repair a torn tail.
+// The benchmark driver (perfbench) uses it to check every journaled
+// run against the oracle; the engine's own resume path goes through
+// loadJournal so it can also repair a torn tail.
 func ReadJournal(path string, opts Options) (map[Spec]*RunOut, int, error) {
 	runs, skipped, _, err := loadJournal(path, opts.withDefaults())
 	return runs, skipped, err

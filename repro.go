@@ -52,6 +52,10 @@ const (
 	Conservative = core.Conservative
 	// SerialVerify propagates verification serially (§2.1, Figure 2a).
 	SerialVerify = core.SerialVerify
+	// LoadDelay delays dependent wakeup to a per-PC predicted load
+	// latency instead of speculating on a hit (after Diavastos &
+	// Carlson).
+	LoadDelay = core.LoadDelay
 )
 
 // Schemes returns every implemented replay scheme.

@@ -32,6 +32,29 @@ func TestRunRejectsJunk(t *testing.T) {
 	}
 }
 
+// TestSchemeConstants pins the facade's exported scheme constants to
+// the registry: a registered scheme without a constant here fails.
+func TestSchemeConstants(t *testing.T) {
+	facade := []Scheme{PosSel, IDSel, NonSel, DSel, TkSel, ReInsert,
+		Refetch, Conservative, SerialVerify, LoadDelay}
+	exported := make(map[Scheme]bool, len(facade))
+	for _, s := range facade {
+		if exported[s] {
+			t.Errorf("%v has two facade constants", s)
+		}
+		exported[s] = true
+	}
+	registered := Schemes()
+	for _, s := range registered {
+		if !exported[s] {
+			t.Errorf("registered scheme %v has no facade constant", s)
+		}
+	}
+	if len(registered) != len(exported) {
+		t.Errorf("%d facade constants for %d registered schemes", len(exported), len(registered))
+	}
+}
+
 func TestBenchmarksList(t *testing.T) {
 	b := Benchmarks()
 	if len(b) != 12 || b[0] != "bzip" || b[6] != "mcf" {
