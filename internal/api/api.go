@@ -45,12 +45,12 @@ type Spec struct {
 // mirroring sim.Overrides. Zero-valued fields keep the default for the
 // selected width.
 type Overrides struct {
-	Tokens          int    `json:"tokens,omitempty"`
-	SchedToExec     int    `json:"schedToExec,omitempty"`
-	IQSize          int    `json:"iq,omitempty"`
-	ROBSize         int    `json:"rob,omitempty"`
-	LSQSize         int    `json:"lsq,omitempty"`
-	PredEntries     int    `json:"predEntries,omitempty"`
+	Tokens      int `json:"tokens,omitempty"`
+	SchedToExec int `json:"schedToExec,omitempty"`
+	IQSize      int `json:"iq,omitempty"`
+	ROBSize     int `json:"rob,omitempty"`
+	LSQSize     int `json:"lsq,omitempty"`
+	PredEntries int `json:"predEntries,omitempty"`
 	// Bpred and Prefetch select frontend kinds by registered name
 	// ("tage", "stride"); empty keeps the paper's default frontend.
 	Bpred           string `json:"bpred,omitempty"`

@@ -28,7 +28,7 @@ func TestDSelShadowInvalidation(t *testing.T) {
 	// parent P (issued, past execute, completing at 108), and a waiting
 	// consumer C whose operand from P was woken two cycles ago.
 	load := &uop{inst: isa.Inst{Seq: 0, Class: isa.Load, Addr: 0x40, Src1: -1, Src2: -1},
-		missed: true,
+		missed:     true,
 		issueCycle: 91, execStart: 96, dataReadyAt: 207,
 		completeCycle: unknown, broadcastCycle: 94, tokenID: -1, storeDataSeq: -1}
 	parent := &uop{inst: isa.Inst{Seq: 1, Class: isa.IntALU, Src1: -1, Src2: -1},

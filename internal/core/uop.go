@@ -175,4 +175,3 @@ func (u *uop) recycle() {
 	life := u.life + 1
 	*u = uop{consumers: cons, life: life}
 }
-

@@ -145,6 +145,10 @@ type Engine struct {
 	// fromJournal marks cache entries seeded from the checkpoint file,
 	// so the first hit on each counts as a resumed run.
 	fromJournal map[Spec]bool
+	// programs holds each benchmark's compiled workload program. The
+	// seed is fixed per engine, so there is at most one entry per
+	// benchmark; every run of a bench walks the same read-only program.
+	programs map[string]*workload.Program
 
 	// machines pools one simulator per worker: the buffered channel is
 	// both the concurrency semaphore and the freelist. Slots start nil
@@ -175,6 +179,7 @@ func NewEngine(opts Options) *Engine {
 		start:    time.Now(),
 		cache:    make(map[Spec]*RunOut),
 		inflight: make(map[Spec]*inflightRun),
+		programs: make(map[string]*workload.Program),
 		machines: make(chan *core.Machine, o.Parallelism),
 	}
 	for i := 0; i < o.Parallelism; i++ {
@@ -361,6 +366,31 @@ func (e *Engine) result(ctx context.Context, spec Spec) (*RunOut, error) {
 	}
 }
 
+// program returns prof's compiled workload program, compiling it on
+// first use. Callers hold a worker slot, so at most Parallelism
+// compiles run at once. The compile runs outside e.mu, so runs of
+// other benches never wait on it; when two runs of a new bench race,
+// both compile the same deterministic program and the first store wins.
+func (e *Engine) program(prof workload.Profile) (*workload.Program, error) {
+	e.mu.Lock()
+	p := e.programs[prof.Name]
+	e.mu.Unlock()
+	if p != nil {
+		return p, nil
+	}
+	p, err := workload.Compile(prof, e.opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if prev := e.programs[prof.Name]; prev != nil {
+		return prev, nil
+	}
+	e.programs[prof.Name] = p
+	return p, nil
+}
+
 // exec simulates one spec on a pooled worker, retrying on a fresh
 // machine when the pooled attempt fails, and checkpoints the result.
 func (e *Engine) exec(ctx context.Context, spec Spec) (*RunOut, error) {
@@ -413,10 +443,11 @@ func (e *Engine) exec(ctx context.Context, spec Spec) (*RunOut, error) {
 // failure, so a bad run can't poison later ones.
 func (e *Engine) attempt(ctx context.Context, spec Spec, cfg core.Config,
 	prof workload.Profile, pooled *core.Machine, attempt int) (*RunOut, *core.Machine, error) {
-	gen, err := workload.NewGenerator(prof, e.opts.Seed)
+	program, err := e.program(prof)
 	if err != nil {
 		return nil, nil, permanentError{fmt.Errorf("sim: %s: %w", spec, err)}
 	}
+	gen := program.NewGenerator()
 	m := pooled
 	if m == nil {
 		m, err = core.New(cfg, gen)
@@ -434,7 +465,7 @@ func (e *Engine) attempt(ctx context.Context, spec Spec, cfg core.Config,
 		}
 	}
 	if e.opts.CheckpointDir != "" && cfg.Check == core.CheckOff {
-		if cerr := e.armCheckpoints(m, spec, cfg, prof); cerr != nil {
+		if cerr := e.armCheckpoints(m, spec, cfg, program); cerr != nil {
 			return nil, nil, permanentError{fmt.Errorf("sim: %s: %w", spec, cerr)}
 		}
 	}
@@ -456,25 +487,15 @@ func (e *Engine) attempt(ctx context.Context, spec Spec, cfg core.Config,
 // falls back to the cold start the machine is already reset for; only
 // a failure to rebuild that cold state is an error.
 func (e *Engine) armCheckpoints(m *core.Machine, spec Spec, cfg core.Config,
-	prof workload.Profile) error {
+	program *workload.Program) error {
 	path := checkpointPath(e.opts.CheckpointDir, spec, e.opts)
 	if ms, err := loadCheckpoint(path); err == nil && ms != nil {
-		gen, gerr := workload.NewGenerator(prof, e.opts.Seed)
-		if gerr != nil {
-			return gerr
-		}
-		if rerr := m.Restore(cfg, gen, ms); rerr == nil {
+		// A failed restore may leave the machine partially written;
+		// rebuild the cold state before running.
+		if rerr := m.Restore(cfg, program.NewGenerator(), ms); rerr == nil {
 			e.prog.warmed.Add(1)
-		} else {
-			// A failed restore may leave the machine partially written;
-			// rebuild the cold state before running.
-			gen, gerr := workload.NewGenerator(prof, e.opts.Seed)
-			if gerr != nil {
-				return gerr
-			}
-			if err := m.Reset(cfg, gen); err != nil {
-				return err
-			}
+		} else if err := m.Reset(cfg, program.NewGenerator()); err != nil {
+			return err
 		}
 	}
 	every := e.opts.CheckpointEvery

@@ -40,10 +40,10 @@ func validTraceBytes(tb testing.TB) []byte {
 func FuzzTraceReader(f *testing.F) {
 	valid := validTraceBytes(f)
 	f.Add(valid)
-	f.Add(valid[:len(valid)-1])       // truncated final record
-	f.Add(valid[:len(magic)+1])       // truncated first record
-	f.Add([]byte("SRTRACE2\x00\x00")) // wrong version magic
-	f.Add([]byte{})                   // empty file
+	f.Add(valid[:len(valid)-1])                           // truncated final record
+	f.Add(valid[:len(magic)+1])                           // truncated first record
+	f.Add([]byte("SRTRACE2\x00\x00"))                     // wrong version magic
+	f.Add([]byte{})                                       // empty file
 	f.Add(append(append([]byte{}, valid...), 0xff, 0xff)) // trailing garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {

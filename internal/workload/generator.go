@@ -3,7 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -33,11 +33,34 @@ type Stream interface {
 	Next() isa.Inst
 }
 
-// Generator expands a Profile into a deterministic dynamic instruction
+// Program is a profile's synthetic program compiled for one seed: the
+// static code with its missy marks, the cold/warm region probabilities,
+// and how far sampling the code advanced the data RNG. It is immutable
+// once compiled, so one Program serves any number of generators, on any
+// number of goroutines. Compiling is most of the cost of starting a
+// stream.
+type Program struct {
+	prof  Profile
+	seed  int64
+	slots []staticSlot
+	// dataSteps is how many source steps buildStatic drew from the data
+	// RNG. Every generator skips its data RNG past them, so its draws
+	// continue exactly where they would had it built the code itself.
+	dataSteps int
+
+	// missy-vs-clean region probabilities, precomputed from the profile.
+	pColdWarmMissy float64
+	pColdWarmClean float64
+	coldShare      float64 // cold / (cold + warm)
+}
+
+// Generator expands a Program into a deterministic dynamic instruction
 // stream. It implements Stream. The same (profile, seed) pair always
 // produces the same stream.
 type Generator struct {
-	prof Profile
+	// prog is a copy of the compiled program's header; its slots are
+	// shared with every other walk of the program and never written.
+	prog Program
 	rng  *rand.Rand
 	// ctrlRng drives branch outcomes (and nothing else), so the
 	// control-flow trajectory is independent of data-model sampling and
@@ -47,7 +70,6 @@ type Generator struct {
 	// enabling value-prediction modeling does not perturb the calibrated
 	// address/dependence stream.
 	valueRng *rand.Rand
-	slots    []staticSlot
 
 	cursor int
 	seq    int64
@@ -71,36 +93,39 @@ type Generator struct {
 	coldPtr uint64
 
 	// lastInstance tracks the previous dynamic seq of each recurrent
-	// slot, the loop-carried dependence.
+	// slot, the loop-carried dependence. A map, not a per-slot slice:
+	// only the few recurrent sites ever get an entry.
 	lastInstance map[int]int64
-
-	// missy-vs-clean region probabilities, precomputed from the profile.
-	pColdWarmMissy float64
-	pColdWarmClean float64
-	coldShare      float64 // cold / (cold + warm)
 }
 
-// NewGenerator builds a generator for prof with the given seed.
+// NewGenerator builds a generator for prof with the given seed. It
+// compiles the program for this one walk; callers that walk the same
+// (profile, seed) repeatedly should Compile once and call
+// Program.NewGenerator per walk.
 func NewGenerator(prof Profile, seed int64) (*Generator, error) {
+	p, err := Compile(prof, seed)
+	if err != nil {
+		return nil, err
+	}
+	return p.NewGenerator(), nil
+}
+
+// Compile samples prof's static code for seed and calibrates its missy
+// sites.
+func Compile(prof Profile, seed int64) (*Program, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	g := &Generator{
-		prof:         prof,
-		rng:          rng,
-		ctrlRng:      rand.New(rand.NewSource(seed ^ ctrlSeedMix)),
-		valueRng:     rand.New(rand.NewSource(seed ^ valueSeedMix)),
-		slots:        buildStatic(prof, rng),
-		coldPtr:      coldBase,
-		lastInstance: make(map[int]int64),
+	src := &countingSource{Source64: rand.NewSource(seed).(rand.Source64)}
+	p := &Program{
+		prof:  prof,
+		seed:  seed,
+		slots: buildStatic(prof, rand.New(src)),
 	}
-	for i := range g.producers {
-		g.producers[i] = -1
-	}
+	p.dataSteps = src.n
 	cw := prof.ColdFrac + prof.WarmFrac
 	if cw > 0 {
-		g.coldShare = prof.ColdFrac / cw
+		p.coldShare = prof.ColdFrac / cw
 	}
 	// Mark missy sites. A small set of static loads accounts for most
 	// dynamic misses (paper §4.1), and those sites still hit more than
@@ -109,97 +134,136 @@ func NewGenerator(prof Profile, seed int64) (*Generator, error) {
 	// calibration pass below marks just enough dynamic load mass missy
 	// (hottest sites first: miss-prone loads live in the hot loops) for
 	// the aggregate cold+warm fraction to hit the profile target.
-	g.pColdWarmMissy = 0.45 + 0.5*prof.MissyBias
-	missyDyn := g.markMissySites(seed, cw)
+	p.pColdWarmMissy = 0.45 + 0.5*prof.MissyBias
+	missyDyn := p.markMissySites(cw)
 	if missyDyn < 1 {
-		g.pColdWarmClean = math.Min(0.85, (cw-missyDyn*g.pColdWarmMissy)/(1-missyDyn))
-		if g.pColdWarmClean < 0 {
-			g.pColdWarmClean = 0
+		p.pColdWarmClean = math.Min(0.85, (cw-missyDyn*p.pColdWarmMissy)/(1-missyDyn))
+		if p.pColdWarmClean < 0 {
+			p.pColdWarmClean = 0
 		}
 	}
-	return g, nil
+	return p, nil
+}
+
+// NewGenerator starts a fresh walk of the program. Every walk yields the
+// same stream, from its first instruction.
+func (p *Program) NewGenerator() *Generator {
+	src := rand.NewSource(p.seed)
+	for i := 0; i < p.dataSteps; i++ {
+		src.Int63()
+	}
+	g := &Generator{
+		prog:         *p,
+		rng:          rand.New(src),
+		ctrlRng:      rand.New(rand.NewSource(p.seed ^ ctrlSeedMix)),
+		valueRng:     rand.New(rand.NewSource(p.seed ^ valueSeedMix)),
+		coldPtr:      coldBase,
+		lastInstance: make(map[int]int64),
+	}
+	for i := range g.producers {
+		g.producers[i] = -1
+	}
+	return g
+}
+
+// countingSource counts the steps drawn from a random source. Int63 and
+// Uint64 each advance the underlying generator by one step.
+type countingSource struct {
+	rand.Source64
+	n int
+}
+
+func (c *countingSource) Int63() int64 {
+	c.n++
+	return c.Source64.Int63()
+}
+
+func (c *countingSource) Uint64() uint64 {
+	c.n++
+	return c.Source64.Uint64()
 }
 
 // markMissySites measures per-site dynamic load frequency with a dry
-// control-flow walk (separate RNG; generator state untouched), then
+// control-flow walk (separate RNG; no generator state involved), then
 // marks the most frequently visited load sites missy until the missy
 // share of dynamic loads reaches MissyBias*cw/pColdWarmMissy. It
 // returns the dynamic missy share actually reached.
-func (g *Generator) markMissySites(seed int64, cw float64) float64 {
+func (p *Program) markMissySites(cw float64) float64 {
 	// Same control-flow RNG seed as the real walk: the pre-pass visits
 	// exactly the sites the simulation will.
-	rng := rand.New(rand.NewSource(seed ^ ctrlSeedMix))
-	visits := make(map[int]int) // slot index -> dynamic load visits
+	rng := rand.New(rand.NewSource(p.seed ^ ctrlSeedMix))
+	n := len(p.slots)
+	visits := make([]int32, n) // slot index -> dynamic load visits
 	cursor := 0
 	loads := 0
 	const walk = 120_000
 	for i := 0; i < walk; i++ {
-		slot := &g.slots[cursor]
+		slot := &p.slots[cursor]
 		if slot.class == isa.Load {
 			visits[cursor]++
 			loads++
 		}
 		if slot.class == isa.Branch && rng.Float64() < slot.takenBias {
-			cursor = slot.targetSlot
-		} else {
-			cursor = (cursor + 1) % len(g.slots)
+			cursor = int(slot.target)
+		} else if cursor++; cursor == n {
+			cursor = 0
 		}
 	}
 	if loads == 0 || cw == 0 {
 		return 0
 	}
-	target := g.prof.MissyBias * cw / g.pColdWarmMissy
+	target := p.prof.MissyBias * cw / p.pColdWarmMissy
 	if target > 0.9 {
 		target = 0.9
 	}
 	// Hottest sites first; ties broken by slot index for determinism.
-	idx := make([]int, 0, len(visits))
-	for s := range visits {
-		idx = append(idx, s)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if visits[idx[a]] != visits[idx[b]] {
-			return visits[idx[a]] > visits[idx[b]]
+	// Each visited site packs into one key, (MaxInt32-visits)<<32 |
+	// slot, whose ascending order is exactly that order.
+	order := make([]uint64, 0, n)
+	for s, v := range visits {
+		if v > 0 {
+			order = append(order, uint64(math.MaxInt32-v)<<32|uint64(s))
 		}
-		return idx[a] < idx[b]
-	})
+	}
+	slices.Sort(order)
 	// Greedy knapsack: take the largest sites that still fit, so the
 	// marked mass lands on the target without a single hot site
 	// overshooting it by an order of magnitude.
 	budget := int(target * float64(loads))
 	marked := 0
-	for _, s := range idx {
+	for _, k := range order {
 		if marked >= budget {
 			break
 		}
-		if v := visits[s]; marked+v <= budget+budget/5 {
-			g.slots[s].missy = true
+		s := uint32(k)
+		if v := int(visits[s]); marked+v <= budget+budget/5 {
+			p.slots[s].missy = true
 			marked += v
 		}
 	}
 	// Fill pass: if chunky hot sites left the budget badly under-used,
 	// take the smallest sites (ascending) until close; a small overshoot
 	// beats spilling miss mass onto unpredictable clean sites.
-	for i := len(idx) - 1; i >= 0 && marked < budget-budget/10; i-- {
-		s := idx[i]
-		if !g.slots[s].missy {
-			g.slots[s].missy = true
-			marked += visits[s]
+	for i := len(order) - 1; i >= 0 && marked < budget-budget/10; i-- {
+		s := uint32(order[i])
+		if !p.slots[s].missy {
+			p.slots[s].missy = true
+			marked += int(visits[s])
 		}
 	}
 	return float64(marked) / float64(loads)
 }
 
 // Profile returns the profile the generator was built from.
-func (g *Generator) Profile() Profile { return g.prof }
+func (g *Generator) Profile() Profile { return g.prog.prof }
 
 // Next produces the next dynamic instruction. It never fails: the
 // synthetic program is an endless walk of its static code.
 func (g *Generator) Next() isa.Inst {
-	slot := &g.slots[g.cursor]
+	slot := &g.prog.slots[g.cursor]
 	in := isa.Inst{
 		Seq:   g.seq,
-		PC:    slot.pc,
+		PC:    slotPC(g.cursor),
 		Class: slot.class,
 		Src1:  -1,
 		Src2:  -1,
@@ -208,7 +272,7 @@ func (g *Generator) Next() isa.Inst {
 	case isa.Load:
 		// Address base: usually a stable (long-ready) base register;
 		// pointer-chasing codes tie it to a recent producer.
-		if g.rng.Float64() >= g.prof.AddrReadyFrac {
+		if g.rng.Float64() >= g.prog.prof.AddrReadyFrac {
 			in.Src1 = g.sampleProducer()
 		}
 		in.Addr = g.loadAddr(slot)
@@ -231,7 +295,7 @@ func (g *Generator) Next() isa.Inst {
 			in.Src1 = g.sampleProducer()
 		}
 		in.Taken = g.ctrlRng.Float64() < slot.takenBias
-		in.Target = g.slots[slot.targetSlot].pc
+		in.Target = slotPC(int(slot.target))
 	default:
 		if slot.recurrent {
 			// Loop-carried recurrence: read this site's previous
@@ -245,7 +309,7 @@ func (g *Generator) Next() isa.Inst {
 			g.lastInstance[g.cursor] = in.Seq
 		} else {
 			in.Src1 = g.sampleProducer()
-			if g.rng.Float64() < g.prof.TwoSrcFrac {
+			if g.rng.Float64() < g.prog.prof.TwoSrcFrac {
 				in.Src2 = g.sampleProducer()
 			}
 		}
@@ -279,9 +343,9 @@ func (g *Generator) Next() isa.Inst {
 
 	// Advance control flow.
 	if slot.class == isa.Branch && in.Taken {
-		g.cursor = slot.targetSlot
-	} else {
-		g.cursor = (g.cursor + 1) % len(g.slots)
+		g.cursor = int(slot.target)
+	} else if g.cursor++; g.cursor == len(g.prog.slots) {
+		g.cursor = 0
 	}
 	g.seq++
 	return in
@@ -306,10 +370,10 @@ func (g *Generator) sampleProducer() int64 {
 	// A fraction of operands read values produced long ago (already
 	// retired); they arrive ready. The fraction shrinks as chains
 	// lengthen (small DepMean = tightly dependent code).
-	if g.rng.Float64() < 0.04*g.prof.DepMean {
+	if g.rng.Float64() < 0.04*g.prog.prof.DepMean {
 		return -1
 	}
-	d := 1 + int(g.rng.ExpFloat64()*(g.prof.DepMean-1))
+	d := 1 + int(g.rng.ExpFloat64()*(g.prog.prof.DepMean-1))
 	if d > g.nProd {
 		d = g.nProd
 	}
@@ -336,7 +400,7 @@ func (g *Generator) sampleStoreData() int64 {
 // store-to-load scheduling misses predictable by PC as in real codes;
 // clean sites alias only rarely.
 func (g *Generator) loadAddr(slot *staticSlot) uint64 {
-	aliasP := g.prof.AliasFrac * 0.3
+	aliasP := g.prog.prof.AliasFrac * 0.3
 	if slot.missy {
 		aliasP = 0.12
 	}
@@ -345,19 +409,19 @@ func (g *Generator) loadAddr(slot *staticSlot) uint64 {
 		idx := (g.storeHead - d + len(g.recentStores)) % len(g.recentStores)
 		return g.recentStores[idx].addr
 	}
-	pcw := g.pColdWarmClean
+	pcw := g.prog.pColdWarmClean
 	if slot.missy {
-		pcw = g.pColdWarmMissy
+		pcw = g.prog.pColdWarmMissy
 	}
 	r := g.rng.Float64()
 	switch {
-	case r < pcw*g.coldShare:
+	case r < pcw*g.prog.coldShare:
 		g.coldPtr += lineSize
 		return g.coldPtr
 	case r < pcw:
-		return warmBase + uint64(g.rng.Intn(g.prof.WarmLines))*lineSize + uint64(g.rng.Intn(8))*8
+		return warmBase + uint64(g.rng.Intn(g.prog.prof.WarmLines))*lineSize + uint64(g.rng.Intn(8))*8
 	default:
-		return hotBase + uint64(g.rng.Intn(g.prof.HotLines))*lineSize + uint64(g.rng.Intn(8))*8
+		return hotBase + uint64(g.rng.Intn(g.prog.prof.HotLines))*lineSize + uint64(g.rng.Intn(8))*8
 	}
 }
 
@@ -365,9 +429,9 @@ func (g *Generator) loadAddr(slot *staticSlot) uint64 {
 // the active working set.
 func (g *Generator) storeAddr() uint64 {
 	if g.rng.Float64() < 0.1 {
-		return warmBase + uint64(g.rng.Intn(g.prof.WarmLines))*lineSize + uint64(g.rng.Intn(8))*8
+		return warmBase + uint64(g.rng.Intn(g.prog.prof.WarmLines))*lineSize + uint64(g.rng.Intn(8))*8
 	}
-	return hotBase + uint64(g.rng.Intn(g.prof.HotLines))*lineSize + uint64(g.rng.Intn(8))*8
+	return hotBase + uint64(g.rng.Intn(g.prog.prof.HotLines))*lineSize + uint64(g.rng.Intn(8))*8
 }
 
 func min(a, b int) int {

@@ -72,8 +72,14 @@ type Profile struct {
 
 	// StaticInsts is the static code footprint in instructions; drives
 	// IL1/BTB behaviour and the number of static load/branch sites.
+	// Validate accepts 16 to 1<<20 (a 4 MB text segment).
 	StaticInsts int
 }
+
+// maxStaticInsts bounds Profile.StaticInsts: a 4 MB text segment, far
+// beyond any SPEC CINT2000 hot footprint, whose slot indices fit the
+// compiled program's 32-bit branch targets.
+const maxStaticInsts = 1 << 20
 
 // Validate checks that the profile's fractions are sane.
 func (p Profile) Validate() error {
@@ -105,6 +111,9 @@ func (p Profile) Validate() error {
 	}
 	if p.StaticInsts < 16 {
 		return fmt.Errorf("workload %s: StaticInsts %d too small", p.Name, p.StaticInsts)
+	}
+	if p.StaticInsts > maxStaticInsts {
+		return fmt.Errorf("workload %s: StaticInsts %d exceeds %d", p.Name, p.StaticInsts, maxStaticInsts)
 	}
 	if p.HotLines <= 0 || p.WarmLines <= 0 {
 		return fmt.Errorf("workload %s: region sizes must be positive", p.Name)

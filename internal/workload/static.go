@@ -13,10 +13,15 @@ const codeBase = 0x0040_0000
 // The dynamic stream is produced by walking these slots under sampled
 // branch outcomes, so PCs, instruction classes, miss-proneness and
 // branch biases are all stable per site — which is what PC-indexed
-// predictors need to observe.
+// predictors need to observe. A slot's PC is implied by its index
+// (slotPC), which keeps the slot at 16 bytes.
 type staticSlot struct {
-	pc    uint64
-	class isa.Class
+	// takenBias is the probability this branch is taken.
+	takenBias float64
+	// target is the branch target's slot index; Profile.Validate
+	// bounds StaticInsts so every index fits.
+	target int32
+	class  isa.Class
 	// missy marks a load site as miss-prone (issues most cold/warm
 	// references).
 	missy bool
@@ -29,11 +34,10 @@ type staticSlot struct {
 	// instance of the same site. Recurrences are what let an invalid
 	// speculative wavefront propagate for hundreds of levels (Figure 3).
 	recurrent bool
-	// takenBias is the probability this branch is taken.
-	takenBias float64
-	// targetSlot is the branch target's slot index.
-	targetSlot int
 }
+
+// slotPC is the address of static slot i.
+func slotPC(i int) uint64 { return codeBase + uint64(i)*4 }
 
 // buildStatic samples the static program skeleton for a profile.
 func buildStatic(p Profile, rng *rand.Rand) []staticSlot {
@@ -41,7 +45,6 @@ func buildStatic(p Profile, rng *rand.Rand) []staticSlot {
 	slots := make([]staticSlot, n)
 	for i := range slots {
 		s := &slots[i]
-		s.pc = codeBase + uint64(i)*4
 		r := rng.Float64()
 		switch {
 		case r < p.LoadFrac:
@@ -52,7 +55,7 @@ func buildStatic(p Profile, rng *rand.Rand) []staticSlot {
 			// calibrated layout sampling.
 			s.valueStable = (uint64(i)*0x9e3779b97f4a7c15)>>62 == 0
 			// missy marks are assigned by the generator's calibration
-			// pass (see NewGenerator), which sizes the missy set so the
+			// pass (see Compile), which sizes the missy set so the
 			// aggregate cold/warm mass lands on the profile target while
 			// each missy site keeps a high per-site miss ratio.
 		case r < p.LoadFrac+p.StoreFrac:
@@ -66,7 +69,7 @@ func buildStatic(p Profile, rng *rand.Rand) []staticSlot {
 			} else {
 				s.takenBias = 0.05 // rarely taken guard
 			}
-			s.targetSlot = sampleTarget(i, n, rng)
+			s.target = int32(sampleTarget(i, n, rng))
 		case r < p.LoadFrac+p.StoreFrac+p.BranchFrac+p.FPFrac:
 			if rng.Float64() < 0.6 {
 				s.class = isa.FPALU

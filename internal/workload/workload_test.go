@@ -45,6 +45,7 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		{"cold+warm over 1", func(p *Profile) { p.ColdFrac = 0.6; p.WarmFrac = 0.6 }},
 		{"dep mean under 1", func(p *Profile) { p.DepMean = 0.5 }},
 		{"tiny static code", func(p *Profile) { p.StaticInsts = 3 }},
+		{"huge static code", func(p *Profile) { p.StaticInsts = maxStaticInsts + 1 }},
 		{"zero hot lines", func(p *Profile) { p.HotLines = 0 }},
 	}
 	for _, tc := range cases {
