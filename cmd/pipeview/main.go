@@ -35,6 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evstream"
 	"repro/internal/isa"
+	"repro/internal/sim"
 	"repro/internal/simflag"
 	"repro/internal/workload"
 )
@@ -89,7 +90,7 @@ func liveRender(f *simflag.Sim, skip, rows, cols int64, recordPath string) error
 	if err := f.Validate(); err != nil {
 		return err
 	}
-	scheme, _ := f.Scheme()
+	spec := f.Spec()
 
 	// The sink below hooks machine internals, so this command drives
 	// core directly rather than going through the sim engine.
@@ -101,12 +102,7 @@ func liveRender(f *simflag.Sim, skip, rows, cols int64, recordPath string) error
 	if err != nil {
 		return err
 	}
-	cfg := core.Config4Wide()
-	if f.Wide8 {
-		cfg = core.Config8Wide()
-	}
-	cfg.Scheme = scheme
-	cfg.MaxInsts = skip + rows + 512
+	cfg := spec.Config(sim.Options{Insts: skip + rows + 512})
 
 	m, err := core.New(cfg, gen)
 	if err != nil {
@@ -142,7 +138,7 @@ func liveRender(f *simflag.Sim, skip, rows, cols int64, recordPath string) error
 		}
 		defer out.Close()
 		rec, err = evstream.NewRecorder(out, evstream.Header{
-			Spec: fmt.Sprintf("%s %s %v", f.Bench, cfg.Name, scheme),
+			Spec: fmt.Sprintf("%s %s %v", f.Bench, cfg.Name, spec.Scheme),
 			Seed: f.Seed,
 			Note: "pipeview recording",
 		})
@@ -168,7 +164,7 @@ func liveRender(f *simflag.Sim, skip, rows, cols int64, recordPath string) error
 	}
 
 	fmt.Printf("%s on %s under %v — instructions %d..%d (cycle origin %d)\n",
-		f.Bench, cfg.Name, scheme, lo, hi-1, t0)
+		f.Bench, cfg.Name, spec.Scheme, lo, hi-1, t0)
 	render(rowsBySeq, t0, cols)
 	return nil
 }
@@ -200,19 +196,14 @@ func replayRender(path string, seek, rows, cols int64) error {
 		}
 		first = ev
 	} else {
-		for {
-			rec, err := d.Next()
-			if err == io.EOF {
-				return fmt.Errorf("pipeview: %s holds no events", path)
-			}
-			if err != nil {
-				return err
-			}
-			if rec.Kind == evstream.RecEvent {
-				first = rec.Event
-				break
-			}
+		ev, err := d.Next()
+		if err == io.EOF {
+			return fmt.Errorf("pipeview: %s holds no events", path)
 		}
+		if err != nil {
+			return err
+		}
+		first = ev
 	}
 	t0 := first.Cycle
 	if seek >= 0 {
@@ -236,20 +227,17 @@ func replayRender(path string, seek, rows, cols int64) error {
 	}
 	add(first)
 	for {
-		rec, err := d.Next()
+		ev, err := d.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		if rec.Kind != evstream.RecEvent {
-			continue
-		}
-		if rec.Event.Cycle >= t0+cols {
+		if ev.Cycle >= t0+cols {
 			break // right edge reached; cycles are monotonic, stop reading
 		}
-		add(rec.Event)
+		add(ev)
 	}
 
 	hdr := d.Header()

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/simflag"
 	"repro/internal/smpred"
 )
@@ -44,7 +43,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	scheme, _ := f.Scheme()
 	check, _ := f.Check()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -53,11 +51,9 @@ func main() {
 	opts := f.Options()
 	opts.Parallelism = 1
 	runner, stopRunner := f.Runner(ctx, opts)
-	over := sim.Overrides{Tokens: *tokens, Check: check}
-	f.ApplyFrontend(&over)
-	out, err := runner.Run(ctx, sim.Spec{
-		Bench: f.Bench, Wide8: f.Wide8, Scheme: scheme, Over: over,
-	})
+	spec := f.Spec()
+	spec.Over.Tokens, spec.Over.Check = *tokens, check
+	out, err := runner.Run(ctx, spec)
 	stopRunner()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -75,7 +71,7 @@ func main() {
 	}
 
 	st := out.Stats
-	fmt.Printf("%s on %s, %v replay\n", f.Bench, out.Spec.Width(), scheme)
+	fmt.Printf("%s on %s, %v replay\n", f.Bench, out.Spec.Width(), spec.Scheme)
 	fmt.Printf("  IPC                     %.4f (%d instructions, %d cycles)\n", st.IPC(), st.Retired, st.Cycles)
 	fmt.Printf("  load scheduling misses  %.2f%% of load issues (%d; cache %d, alias %d)\n",
 		100*st.LoadMissRate(), st.LoadSchedMisses, st.CacheMisses, st.AliasMisses)
@@ -86,7 +82,7 @@ func main() {
 		branchRate = float64(st.BranchMispredicts) / float64(st.BranchLookups)
 	}
 	fmt.Printf("  branch mispredicts      %.2f%% of branches\n", 100*branchRate)
-	if scheme == core.TkSel {
+	if spec.Scheme == core.TkSel {
 		fmt.Printf("  token coverage          %.1f%% of misses (stolen %d, refused %d)\n",
 			100*st.TokenCoverage(), st.Policy.MissTokenStolen, st.Policy.MissTokenRefused)
 	}
@@ -97,7 +93,7 @@ func main() {
 	if st.RefetchEvents > 0 {
 		fmt.Printf("  refetch replays         %d\n", st.RefetchEvents)
 	}
-	if scheme == core.SerialVerify && st.Policy.SerialDepth.N() > 0 {
+	if spec.Scheme == core.SerialVerify && st.Policy.SerialDepth.N() > 0 {
 		sd := &st.Policy.SerialDepth
 		fmt.Printf("  wavefront depth         mean %.1f, p99 %d, max %d over %d misses\n",
 			sd.Mean(), sd.Quantile(0.99), sd.Max(), sd.N())

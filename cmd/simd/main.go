@@ -97,12 +97,9 @@ func runServer(ctx context.Context, addr, data string, opts sim.Options) {
 // runLoadtest hammers a running server with the flag-selected spec and
 // prints the cache-behaviour report.
 func runLoadtest(ctx context.Context, base string, clients, reqs int, f *simflag.Sim) {
-	scheme, _ := f.Scheme()
-	check, _ := f.Check()
-	spec := api.FromSimSpec(sim.Spec{
-		Bench: f.Bench, Wide8: f.Wide8, Scheme: scheme,
-		Over: sim.Overrides{Check: check},
-	})
+	s := f.Spec()
+	s.Over.Check, _ = f.Check()
+	spec := api.FromSimSpec(s)
 	rep, err := serve.LoadTest(ctx, serve.LoadConfig{
 		Base:    base,
 		Clients: clients, PerClient: reqs,

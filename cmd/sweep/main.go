@@ -35,12 +35,21 @@ import (
 	"repro/internal/stats"
 )
 
-// sweep is one ablation study: the specs it needs and how to render
-// their results (outs is in spec order).
+// sweep is one ablation study: the specs it derives from the
+// flag-selected base spec and how to render their results (outs is in
+// spec order).
 type sweep struct {
 	name  string
-	specs func(f *simflag.Sim, scheme core.Scheme) []sim.Spec
-	print func(f *simflag.Sim, scheme core.Scheme, outs []*sim.RunOut)
+	specs func(base sim.Spec) []sim.Spec
+	print func(base sim.Spec, outs []*sim.RunOut)
+}
+
+// point is one sweep point: the base spec (bench, width and frontend
+// overrides) under the given scheme and machine overrides.
+func point(base sim.Spec, scheme core.Scheme, over sim.Overrides) sim.Spec {
+	over.Bpred, over.Prefetch = base.Over.Bpred, base.Over.Prefetch
+	base.Scheme, base.Over = scheme, over
+	return base
 }
 
 // rqScheme clamps the flag scheme to one the replay-queue model
@@ -64,16 +73,15 @@ var vpSchemes = []core.Scheme{core.IDSel, core.TkSel, core.ReInsert}
 var sweeps = []sweep{
 	{
 		name: "tokens",
-		specs: func(f *simflag.Sim, _ core.Scheme) []sim.Spec {
+		specs: func(base sim.Spec) []sim.Spec {
 			var s []sim.Spec
 			for _, n := range tokenSizes {
-				s = append(s, sim.Spec{Bench: f.Bench, Wide8: f.Wide8, Scheme: core.TkSel,
-					Over: sim.Overrides{Tokens: n}})
+				s = append(s, point(base, core.TkSel, sim.Overrides{Tokens: n}))
 			}
 			return s
 		},
-		print: func(f *simflag.Sim, _ core.Scheme, outs []*sim.RunOut) {
-			fmt.Printf("Token pool sweep (%s, TkSel): coverage and IPC vs pool size\n", f.Bench)
+		print: func(base sim.Spec, outs []*sim.RunOut) {
+			fmt.Printf("Token pool sweep (%s, TkSel): coverage and IPC vs pool size\n", base.Bench)
 			tb := stats.NewTable("tokens", "coverage", "IPC", "reinserts")
 			for i, n := range tokenSizes {
 				st := outs[i].Stats
@@ -85,17 +93,16 @@ var sweeps = []sweep{
 	},
 	{
 		name: "depth",
-		specs: func(f *simflag.Sim, scheme core.Scheme) []sim.Spec {
+		specs: func(base sim.Spec) []sim.Spec {
 			var s []sim.Spec
 			for _, d := range depths {
-				s = append(s, sim.Spec{Bench: f.Bench, Wide8: f.Wide8, Scheme: scheme,
-					Over: sim.Overrides{SchedToExec: d}})
+				s = append(s, point(base, base.Scheme, sim.Overrides{SchedToExec: d}))
 			}
 			return s
 		},
-		print: func(f *simflag.Sim, scheme core.Scheme, outs []*sim.RunOut) {
+		print: func(base sim.Spec, outs []*sim.RunOut) {
 			fmt.Printf("Pipeline-depth sweep (%s, %v): scheduling miss cost vs schedule-to-execute distance\n",
-				f.Bench, scheme)
+				base.Bench, base.Scheme)
 			tb := stats.NewTable("schedToExec", "propDist", "IPC", "replay%")
 			for i, d := range depths {
 				st := outs[i].Stats
@@ -107,16 +114,15 @@ var sweeps = []sweep{
 	},
 	{
 		name: "predictor",
-		specs: func(f *simflag.Sim, _ core.Scheme) []sim.Spec {
+		specs: func(base sim.Spec) []sim.Spec {
 			var s []sim.Spec
 			for _, n := range predSizes {
-				s = append(s, sim.Spec{Bench: f.Bench, Wide8: f.Wide8, Scheme: core.TkSel,
-					Over: sim.Overrides{PredEntries: n}})
+				s = append(s, point(base, core.TkSel, sim.Overrides{PredEntries: n}))
 			}
 			return s
 		},
-		print: func(f *simflag.Sim, _ core.Scheme, outs []*sim.RunOut) {
-			fmt.Printf("Predictor-size sweep (%s, TkSel): coverage vs table entries\n", f.Bench)
+		print: func(base sim.Spec, outs []*sim.RunOut) {
+			fmt.Printf("Predictor-size sweep (%s, TkSel): coverage vs table entries\n", base.Bench)
 			tb := stats.NewTable("entries", "coverage", "IPC")
 			for i, n := range predSizes {
 				st := outs[i].Stats
@@ -127,16 +133,16 @@ var sweeps = []sweep{
 	},
 	{
 		name: "window",
-		specs: func(f *simflag.Sim, scheme core.Scheme) []sim.Spec {
+		specs: func(base sim.Spec) []sim.Spec {
 			var s []sim.Spec
 			for _, iq := range windowIQs {
-				s = append(s, sim.Spec{Bench: f.Bench, Wide8: f.Wide8, Scheme: scheme,
-					Over: sim.Overrides{IQSize: iq, ROBSize: iq * 2, LSQSize: iq}})
+				s = append(s, point(base, base.Scheme,
+					sim.Overrides{IQSize: iq, ROBSize: iq * 2, LSQSize: iq}))
 			}
 			return s
 		},
-		print: func(f *simflag.Sim, scheme core.Scheme, outs []*sim.RunOut) {
-			fmt.Printf("Window sweep (%s, %v): IPC vs issue-queue size\n", f.Bench, scheme)
+		print: func(base sim.Spec, outs []*sim.RunOut) {
+			fmt.Printf("Window sweep (%s, %v): IPC vs issue-queue size\n", base.Bench, base.Scheme)
 			tb := stats.NewTable("IQ", "ROB", "IPC", "miss%")
 			for i, iq := range windowIQs {
 				st := outs[i].Stats
@@ -148,22 +154,20 @@ var sweeps = []sweep{
 	},
 	{
 		name: "rq",
-		specs: func(f *simflag.Sim, scheme core.Scheme) []sim.Spec {
-			scheme = rqScheme(scheme)
+		specs: func(base sim.Spec) []sim.Spec {
+			scheme := rqScheme(base.Scheme)
 			var s []sim.Spec
 			for _, iq := range rqIQs {
 				s = append(s,
-					sim.Spec{Bench: f.Bench, Wide8: f.Wide8, Scheme: scheme,
-						Over: sim.Overrides{IQSize: iq}},
-					sim.Spec{Bench: f.Bench, Wide8: f.Wide8, Scheme: scheme,
-						Over: sim.Overrides{IQSize: iq, ReplayQueue: true}})
+					point(base, scheme, sim.Overrides{IQSize: iq}),
+					point(base, scheme, sim.Overrides{IQSize: iq, ReplayQueue: true}))
 			}
 			return s
 		},
-		print: func(f *simflag.Sim, scheme core.Scheme, outs []*sim.RunOut) {
-			scheme = rqScheme(scheme)
+		print: func(base sim.Spec, outs []*sim.RunOut) {
+			scheme := rqScheme(base.Scheme)
 			fmt.Printf("Replay-queue model (Figure 4b) vs issue-queue model (%s, %v) across IQ sizes\n",
-				f.Bench, scheme)
+				base.Bench, scheme)
 			tb := stats.NewTable("IQ", "IPC iq-model", "IPC rq-model", "blind RQ replays")
 			for i, iq := range rqIQs {
 				a, b := outs[2*i].Stats, outs[2*i+1].Stats
@@ -174,18 +178,17 @@ var sweeps = []sweep{
 	},
 	{
 		name: "vp",
-		specs: func(f *simflag.Sim, _ core.Scheme) []sim.Spec {
+		specs: func(base sim.Spec) []sim.Spec {
 			var s []sim.Spec
 			for _, sch := range vpSchemes {
 				s = append(s,
-					sim.Spec{Bench: f.Bench, Wide8: f.Wide8, Scheme: sch},
-					sim.Spec{Bench: f.Bench, Wide8: f.Wide8, Scheme: sch,
-						Over: sim.Overrides{ValuePrediction: true}})
+					point(base, sch, sim.Overrides{}),
+					point(base, sch, sim.Overrides{ValuePrediction: true}))
 			}
 			return s
 		},
-		print: func(f *simflag.Sim, _ core.Scheme, outs []*sim.RunOut) {
-			fmt.Printf("Load value prediction (%s): speedup and recovery traffic per scheme\n", f.Bench)
+		print: func(base sim.Spec, outs []*sim.RunOut) {
+			fmt.Printf("Load value prediction (%s): speedup and recovery traffic per scheme\n", base.Bench)
 			tb := stats.NewTable("scheme", "IPC base", "IPC +VP", "mispredicts", "killed insts")
 			for i, sch := range vpSchemes {
 				a, b := outs[2*i].Stats, outs[2*i+1].Stats
@@ -221,8 +224,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	scheme, _ := f.Scheme()
-
 	var todo []sweep
 	for _, name := range strings.Split(*what, ",") {
 		name = strings.TrimSpace(name)
@@ -251,8 +252,9 @@ func main() {
 	// duplicates across sweeps simulate once (locally in the engine's
 	// memoization, remotely in the server's store and singleflight).
 	var all []sim.Spec
+	base := f.Spec()
 	for _, sw := range todo {
-		all = append(all, sw.specs(f, scheme)...)
+		all = append(all, sw.specs(base)...)
 	}
 	outs, err := runner.RunAll(ctx, all)
 	stopRunner()
@@ -281,8 +283,8 @@ func main() {
 
 	i := 0
 	for _, sw := range todo {
-		n := len(sw.specs(f, scheme))
-		sw.print(f, scheme, outs[i:i+n])
+		n := len(sw.specs(base))
+		sw.print(base, outs[i:i+n])
 		i += n
 	}
 

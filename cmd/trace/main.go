@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evstream"
 	"repro/internal/isa"
+	"repro/internal/sim"
 	"repro/internal/simflag"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -164,31 +165,25 @@ func evsStats(path string) bool {
 	}
 
 	var (
-		events, ckpts, ckptBytes int64
-		firstCycle               int64 = -1
-		lastCycle                int64
-		perKind                  [8]int64
+		events     int64
+		firstCycle int64 = -1
+		lastCycle  int64
+		perKind    [8]int64
 	)
 	for {
-		rec, err := d.Next()
+		ev, err := d.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			fatal(fmt.Errorf("stats: %s: %w", path, err))
 		}
-		switch rec.Kind {
-		case evstream.RecEvent:
-			if firstCycle < 0 {
-				firstCycle = rec.Event.Cycle
-			}
-			lastCycle = rec.Event.Cycle
-			events++
-			perKind[rec.Event.Kind]++
-		case evstream.RecCheckpoint:
-			ckpts++
-			ckptBytes += int64(len(rec.Checkpoint))
+		if firstCycle < 0 {
+			firstCycle = ev.Cycle
 		}
+		lastCycle = ev.Cycle
+		events++
+		perKind[ev.Kind]++
 	}
 
 	hdr := d.Header()
@@ -200,10 +195,7 @@ func evsStats(path string) bool {
 	if events > 0 {
 		fmt.Printf("%d events over cycles %d..%d (%d bytes, %.2f B/event)\n",
 			events, firstCycle, lastCycle, info.Size(),
-			float64(info.Size()-ckptBytes)/float64(events))
-	}
-	if ckpts > 0 {
-		fmt.Printf("%d machine checkpoint(s), %d bytes\n", ckpts, ckptBytes)
+			float64(info.Size())/float64(events))
 	}
 	tb := stats.NewTable("event", "count", "fraction")
 	for k := core.PipeEventKind(0); k < core.PipeEventKind(len(perKind)); k++ {
@@ -237,19 +229,13 @@ func run(args []string) {
 	}
 	recorded := load(fs.Arg(0))
 
-	scheme, _ := f.Scheme()
-
-	cfg := core.Config4Wide()
-	if f.Wide8 {
-		cfg = core.Config8Wide()
-	}
-	cfg.Scheme = scheme
-	cfg.MaxInsts = int64(len(recorded))
+	spec := f.Spec()
+	spec.Over.Check, _ = f.Check() // Validate has already vetted it
+	n := int64(len(recorded))
 	if *insts > 0 {
-		cfg.MaxInsts = *insts
+		n = *insts
 	}
-	cfg.Warmup = *warmup
-	cfg.Check, _ = f.Check() // Validate has already vetted it
+	cfg := spec.Config(sim.Options{Insts: n, Warmup: *warmup})
 	m, err := core.New(cfg, trace.NewLoop(recorded))
 	if err != nil {
 		fatal(err)
@@ -259,7 +245,7 @@ func run(args []string) {
 		fatal(err)
 	}
 	fmt.Printf("%s under %v (%s): IPC %.4f, miss rate %.2f%%, replays %.2f%%\n",
-		fs.Arg(0), scheme, cfg.Name, st.IPC(), 100*st.LoadMissRate(), 100*st.ReplayRate())
+		fs.Arg(0), spec.Scheme, cfg.Name, st.IPC(), 100*st.LoadMissRate(), 100*st.ReplayRate())
 }
 
 func load(path string) []isa.Inst {

@@ -47,17 +47,13 @@ func main() {
 		perKind            [8]int64
 	)
 	for {
-		rec, err := d.Next()
+		ev, err := d.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		if rec.Kind != evstream.RecEvent {
-			continue
-		}
-		ev := rec.Event
 		if firstCycle < 0 {
 			firstCycle = ev.Cycle
 		}
@@ -99,11 +95,9 @@ func main() {
 	fmt.Printf("events from cycle %d (the replay scheme squashing the load's shadow):\n", burstCycle)
 	for n := 0; n < 16; n++ {
 		fmt.Printf("  cycle %6d  %-8v seq %5d\n", ev.Cycle, ev.Kind, ev.Seq)
-		rec, err := d2.Next()
-		if err != nil || rec.Kind != evstream.RecEvent {
+		if ev, err = d2.Next(); err != nil {
 			break
 		}
-		ev = rec.Event
 	}
 	fmt.Printf("\nthe same window, rendered as a timeline:\n")
 	fmt.Printf("  go run ./cmd/pipeview -replay examples/timetravel/mcf-nonsel.evs -seek %d\n", burstCycle)

@@ -143,11 +143,12 @@ type Progress struct {
 	// EngineRuns counts specs that reached the engine: the work the
 	// cache tiers failed to absorb.
 	EngineRuns int64 `json:"engineRuns"`
-	// Resumed, Retried and Warmed mirror the engine's journal-replay,
-	// fresh-machine-retry and checkpoint-warm-start counters.
+	// Resumed and Retried mirror the engine's journal-replay and
+	// fresh-machine-retry counters.
 	Resumed int64 `json:"resumed"`
 	Retried int64 `json:"retried"`
-	Warmed  int64 `json:"warmed"`
+	// Warmed is always 0; kept for v1 wire stability.
+	Warmed int64 `json:"warmed"`
 	// Insts is the total retired instructions simulated.
 	Insts int64 `json:"insts"`
 	// ElapsedMS is wall time since the server started, in milliseconds.

@@ -149,7 +149,6 @@ func (p Progress) Snapshot() sim.Snapshot {
 		Failed:  p.Failed,
 		Resumed: p.Resumed,
 		Retried: p.Retried,
-		Warmed:  p.Warmed,
 		Insts:   p.Insts,
 		Elapsed: time.Duration(p.ElapsedMS) * time.Millisecond,
 	}

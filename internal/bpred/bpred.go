@@ -78,8 +78,7 @@ func (c counter) update(taken bool) counter {
 
 // Config sizes each component. Zero values are replaced by the paper's
 // configuration (see Default). The struct stays comparable (all plain
-// ints) so pooled machines can test substrate reuse with == and
-// checkpoints can demand exact configuration equality.
+// ints) so pooled machines can test substrate reuse with ==.
 type Config struct {
 	// Kind selects the direction predictor organisation. The BTB and
 	// RAS below are shared by every kind.

@@ -157,8 +157,7 @@ func (h *Hierarchy) Data(addr uint64, now int64) Result {
 // does not touch LRU state). The fill shares the demand path's MSHR
 // tracking, so a demand access arriving before it completes observes
 // the residual latency as LevelInFlight — a late prefetch is still
-// partially useful — and the fill maps are already checkpointed, so
-// prefetch state warm-starts with the rest of the hierarchy.
+// partially useful.
 func (h *Hierarchy) Prefetch(addr uint64, now int64) bool {
 	h.rotate(now)
 	la := h.dl1.LineAddr(addr)

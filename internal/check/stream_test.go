@@ -49,16 +49,14 @@ func TestRecordStream(t *testing.T) {
 	}
 	var events int64
 	for {
-		rec, err := d.Next()
+		_, err := d.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Kind == evstream.RecEvent {
-			events++
-		}
+		events++
 	}
 
 	// The recording must retrace the run exactly: its event count is the

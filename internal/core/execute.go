@@ -143,7 +143,6 @@ func (m *Machine) execLoad(u *uop) {
 
 	u.missed = true
 	u.missKind = kind
-	u.everMissed = true
 	// Detected at the scheduled completion stage; the kill reaches the
 	// scheduler VerifyLatency later (together: the propagation
 	// distance).

@@ -26,7 +26,6 @@ func (m *Machine) fetch() {
 		}
 		if !m.haveNext {
 			m.nextInst = m.src.Next()
-			m.srcPos++
 			m.haveNext = true
 		}
 		in := m.nextInst

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/prefetch"
@@ -60,4 +61,13 @@ func TestInertPrefetcherBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+func statsJSON(t *testing.T, st *Stats) string {
+	t.Helper()
+	blob, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob)
 }

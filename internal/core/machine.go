@@ -113,21 +113,11 @@ type Machine struct {
 	// deterministic cursor recorded streams and Violation.Cursor index
 	// with.
 	evCount int64
-	// srcPos counts instructions drawn from the workload stream — the
-	// cursor a checkpoint needs to rebuild the stream position by
-	// fast-forwarding a fresh generator.
-	srcPos int64
-	// Warm-up bookkeeping, promoted from RunContext locals so
-	// checkpoints capture it: warmed flips once Warmup instructions have
+	// Warm-up bookkeeping: warmed flips once Warmup instructions have
 	// retired, and warmBase is the statistics snapshot at that boundary
 	// (subtracted from the final numbers).
 	warmed   bool
 	warmBase Stats
-	// Checkpointing: when ckptFn is set, RunContext hands it a fresh
-	// machine snapshot every ckptEvery cycles (see SetCheckpoints).
-	ckptEvery int64
-	nextCkpt  int64
-	ckptFn    func(*MachineState)
 	// mon drives the invariant monitors; nil when cfg.Check is off, so
 	// the disabled path costs one nil test per emitted event.
 	mon *monitor
@@ -353,26 +343,9 @@ func (m *Machine) init(cfg Config, src workload.Stream) {
 	m.meter = smpred.CoverageMeter{}
 	m.sink = nil
 	m.evCount = 0
-	m.srcPos = 0
 	m.warmed = cfg.Warmup == 0
 	m.warmBase = Stats{}
-	m.ckptEvery, m.nextCkpt, m.ckptFn = 0, 0, nil
 	m.ran = false
-}
-
-// SetCheckpoints asks RunContext to hand fn a freshly allocated
-// machine snapshot every `every` cycles (the first at or after cycle
-// `every`). Snapshots are taken at cycle boundaries, outside the hot
-// loop's allocation budget; pass every <= 0 or a nil fn to disable.
-// Must be set after New/Reset and before Run.
-func (m *Machine) SetCheckpoints(every int64, fn func(*MachineState)) {
-	if every <= 0 || fn == nil {
-		m.ckptEvery, m.nextCkpt, m.ckptFn = 0, 0, nil
-		return
-	}
-	m.ckptEvery = every
-	m.nextCkpt = m.cycle + every
-	m.ckptFn = fn
 }
 
 // Config returns the machine configuration.
@@ -457,10 +430,6 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 		} else if m.cycle-lastRetire > deadlockWindow {
 			return nil, fmt.Errorf("core: no retirement for %d cycles at cycle %d (scheme %v, head %s)",
 				deadlockWindow, m.cycle, m.cfg.Scheme, m.describeHead())
-		}
-		if m.ckptFn != nil && m.cycle >= m.nextCkpt {
-			m.ckptFn(m.snapshot())
-			m.nextCkpt = m.cycle + m.ckptEvery
 		}
 	}
 	m.stats.Cycles = m.cycle

@@ -71,9 +71,6 @@ type uop struct {
 	missed bool
 	// missLevel is the cache level that caused the miss, for stats.
 	missKind missKind
-	// everMissed reports any issue of this load mis-scheduled (for
-	// per-load statistics and predictor training).
-	everMissed bool
 
 	// poisoned marks a DSel instruction that consumed a speculative
 	// value sourced from a mis-scheduled load (poison bit, §3.4.2).
@@ -99,11 +96,6 @@ type uop struct {
 	tokenStolen bool
 	// depVec is the token dependence vector propagated at rename.
 	depVec token.Vector
-
-	// predTaken/predTarget record the branch prediction made at fetch.
-	predTaken  bool
-	predTarget uint64
-	mispred    bool
 
 	// storeDataSeq is the store's data producer (Src2) — kept explicit
 	// because stores issue on address readiness only, with the data

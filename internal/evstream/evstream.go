@@ -3,8 +3,7 @@
 // observation from simulation the way internal/trace decouples
 // workload generation: record a run once, then scrub through it —
 // pipeview time travel, replayable validation findings — without
-// re-simulating from cycle zero. Streams also carry serialized machine
-// checkpoints, so a cycle range can be re-entered mid-run.
+// re-simulating from cycle zero.
 //
 // Format (version 1): the magic "SREVENT1", a JSON header framed by a
 // uvarint length, then records. An event record's first byte has bit 7
@@ -13,11 +12,10 @@
 // reserved), bit 5 a PC-payload flag (set on fetch and dispatch
 // events, which append a zigzag-varint PC delta and a class byte), and
 // bit 6 reserved. A zigzag-varint sequence-number delta always
-// follows the first byte and any cycle delta. A control record's
-// first byte has bit 7 set: 0x81 is a checkpoint — an unsigned varint
-// absolute cycle, an unsigned varint payload length, and a serialized
-// core.MachineState as JSON. Typical event records are two to three
-// bytes; fetch records with their PC payload stay under eight.
+// follows the first byte and any cycle delta. Bit 7 is reserved for
+// control records; none is defined, so a reader rejects a first byte
+// with it set. Typical event records are two to three bytes; fetch
+// records with their PC payload stay under eight.
 //
 // The Recorder is an allocation-free core.EventSink: events encode
 // into a preallocated page that flushes to the underlying writer only
@@ -53,12 +51,6 @@ const (
 
 	// maxHeaderLen caps the framed JSON header a reader will accept.
 	maxHeaderLen = 1 << 20
-	// maxCheckpointLen caps one checkpoint payload (a serialized
-	// machine is a few MB; 64 MB is far past any real configuration).
-	maxCheckpointLen = 64 << 20
-
-	// ctlCheckpoint is the checkpoint control record's first byte.
-	ctlCheckpoint = 0x81
 )
 
 // First-byte layout of an event record.
@@ -68,7 +60,7 @@ const (
 	evCycMask   = 0x03
 	evHasPC     = 1 << 5 // bit 5: PC delta + class byte follow
 	evReserved  = 1 << 6 // bit 6: must be zero
-	ctlBit      = 1 << 7 // bit 7: control record
+	ctlBit      = 1 << 7 // bit 7: control record (none defined)
 	cycSame     = 0
 	cycNext     = 1
 	cycVarint   = 2
@@ -175,41 +167,6 @@ func (r *Recorder) Event(ev core.PipeEvent) {
 	r.n++
 }
 
-// Checkpoint appends a checkpoint control record: the serialized
-// machine state for re-entering the stream at cycle. This is the cold
-// path — it flushes the page and writes through directly.
-func (r *Recorder) Checkpoint(cycle int64, payload []byte) error {
-	if r.err != nil {
-		return r.err
-	}
-	if cycle < 0 {
-		r.err = fmt.Errorf("evstream: checkpoint at negative cycle %d", cycle)
-		return r.err
-	}
-	if len(payload) > maxCheckpointLen {
-		r.err = fmt.Errorf("evstream: checkpoint payload %d bytes exceeds the %d cap",
-			len(payload), maxCheckpointLen)
-		return r.err
-	}
-	r.flushPage()
-	if r.err != nil {
-		return r.err
-	}
-	frame := make([]byte, 0, 1+2*binary.MaxVarintLen64)
-	frame = append(frame, ctlCheckpoint)
-	frame = binary.AppendUvarint(frame, uint64(cycle))
-	frame = binary.AppendUvarint(frame, uint64(len(payload)))
-	if _, err := r.w.Write(frame); err != nil {
-		r.err = fmt.Errorf("evstream: %w", err)
-		return r.err
-	}
-	if _, err := r.w.Write(payload); err != nil {
-		r.err = fmt.Errorf("evstream: %w", err)
-		return r.err
-	}
-	return nil
-}
-
 // flushPage drains the page to the writer; the raw write error latches
 // (no wrapping here — this runs under the hot path's escape gate).
 func (r *Recorder) flushPage() {
@@ -236,28 +193,6 @@ func (r *Recorder) Flush() error {
 	return r.err
 }
 
-// RecordKind distinguishes the record types a Reader returns.
-type RecordKind uint8
-
-const (
-	// RecEvent is a pipeline event.
-	RecEvent RecordKind = iota
-	// RecCheckpoint is a serialized machine checkpoint.
-	RecCheckpoint
-)
-
-// Record is one decoded stream record: an event, or a checkpoint with
-// its payload.
-type Record struct {
-	Kind RecordKind
-	// Event is the decoded event (RecEvent).
-	Event core.PipeEvent
-	// Cycle is the record's cycle stamp (both kinds).
-	Cycle int64
-	// Checkpoint is the serialized core.MachineState (RecCheckpoint).
-	Checkpoint []byte
-}
-
 // Reader decodes an .evs stream sequentially.
 type Reader struct {
 	r   *bufio.Reader
@@ -266,9 +201,6 @@ type Reader struct {
 	lastCycle int64
 	lastSeq   int64
 	lastPC    uint64
-
-	peeked  bool
-	peekRec Record
 
 	err error
 }
@@ -305,42 +237,38 @@ func NewReader(rd io.Reader) (*Reader, error) {
 // Header returns the stream's self-description.
 func (d *Reader) Header() Header { return d.hdr }
 
-// Next returns the next record, or io.EOF at the end of the stream.
+// Next returns the next event, or io.EOF at the end of the stream.
 // Errors (including io.EOF) are sticky.
-func (d *Reader) Next() (Record, error) {
-	if d.peeked {
-		d.peeked = false
-		return d.peekRec, nil
-	}
+func (d *Reader) Next() (core.PipeEvent, error) {
 	if d.err != nil {
-		return Record{}, d.err
+		return core.PipeEvent{}, d.err
 	}
-	rec, err := d.decode()
+	ev, err := d.decode()
 	if err != nil {
 		d.err = err
-		return Record{}, err
+		return core.PipeEvent{}, err
 	}
-	return rec, nil
+	return ev, nil
 }
 
-func (d *Reader) decode() (Record, error) {
+func (d *Reader) decode() (core.PipeEvent, error) {
 	b0, err := d.r.ReadByte()
 	if err != nil {
 		if err == io.EOF {
-			return Record{}, io.EOF
+			return core.PipeEvent{}, io.EOF
 		}
-		return Record{}, fmt.Errorf("evstream: %w", err)
+		return core.PipeEvent{}, fmt.Errorf("evstream: %w", err)
 	}
 	if b0&ctlBit != 0 {
-		return d.decodeControl(b0)
+		return core.PipeEvent{}, fmt.Errorf("evstream: unknown control record 0x%02x", b0)
 	}
 	if b0&evReserved != 0 {
-		return Record{}, fmt.Errorf("evstream: event record sets reserved bit 6 (byte 0x%02x)", b0)
+		return core.PipeEvent{}, fmt.Errorf("evstream: event record sets reserved bit 6 (byte 0x%02x)", b0)
 	}
 	kind := core.PipeEventKind(b0 & evKindMask)
 	hasPC := b0&evHasPC != 0
 	if wantPC := kind == core.EvFetch || kind == core.EvDispatch; hasPC != wantPC {
-		return Record{}, fmt.Errorf("evstream: event kind %v with PC-payload flag %v", kind, hasPC)
+		return core.PipeEvent{}, fmt.Errorf("evstream: event kind %v with PC-payload flag %v", kind, hasPC)
 	}
 
 	cycle := d.lastCycle
@@ -351,37 +279,37 @@ func (d *Reader) decode() (Record, error) {
 	case cycVarint:
 		delta, err := binary.ReadUvarint(d.r)
 		if err != nil {
-			return Record{}, fmt.Errorf("evstream: truncated cycle delta: %w", err)
+			return core.PipeEvent{}, fmt.Errorf("evstream: truncated cycle delta: %w", err)
 		}
 		if delta > uint64(math.MaxInt64-cycle) {
-			return Record{}, fmt.Errorf("evstream: cycle delta %d overflows from cycle %d", delta, cycle)
+			return core.PipeEvent{}, fmt.Errorf("evstream: cycle delta %d overflows from cycle %d", delta, cycle)
 		}
 		cycle += int64(delta)
 	default:
-		return Record{}, fmt.Errorf("evstream: reserved cycle-delta code")
+		return core.PipeEvent{}, fmt.Errorf("evstream: reserved cycle-delta code")
 	}
 
 	seqDelta, err := binary.ReadVarint(d.r)
 	if err != nil {
-		return Record{}, fmt.Errorf("evstream: truncated sequence delta: %w", err)
+		return core.PipeEvent{}, fmt.Errorf("evstream: truncated sequence delta: %w", err)
 	}
 	seq := d.lastSeq + seqDelta
 	if (seqDelta > 0) != (seq > d.lastSeq) && seqDelta != 0 {
-		return Record{}, fmt.Errorf("evstream: sequence delta %d overflows from %d", seqDelta, d.lastSeq)
+		return core.PipeEvent{}, fmt.Errorf("evstream: sequence delta %d overflows from %d", seqDelta, d.lastSeq)
 	}
 
 	ev := core.PipeEvent{Cycle: cycle, Seq: seq, Kind: kind}
 	if hasPC {
 		pcDelta, err := binary.ReadVarint(d.r)
 		if err != nil {
-			return Record{}, fmt.Errorf("evstream: truncated PC delta: %w", err)
+			return core.PipeEvent{}, fmt.Errorf("evstream: truncated PC delta: %w", err)
 		}
 		classB, err := d.r.ReadByte()
 		if err != nil {
-			return Record{}, fmt.Errorf("evstream: truncated class byte: %w", err)
+			return core.PipeEvent{}, fmt.Errorf("evstream: truncated class byte: %w", err)
 		}
 		if classB >= byte(isa.NumClasses) {
-			return Record{}, fmt.Errorf("evstream: event class %d out of range", classB)
+			return core.PipeEvent{}, fmt.Errorf("evstream: event class %d out of range", classB)
 		}
 		ev.PC = d.lastPC + uint64(pcDelta)
 		ev.Class = isa.Class(classB)
@@ -389,44 +317,17 @@ func (d *Reader) decode() (Record, error) {
 	}
 	d.lastCycle = cycle
 	d.lastSeq = seq
-	return Record{Kind: RecEvent, Event: ev, Cycle: cycle}, nil
-}
-
-func (d *Reader) decodeControl(b0 byte) (Record, error) {
-	if b0 != ctlCheckpoint {
-		return Record{}, fmt.Errorf("evstream: unknown control record 0x%02x", b0)
-	}
-	cycle, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return Record{}, fmt.Errorf("evstream: truncated checkpoint cycle: %w", err)
-	}
-	if cycle > math.MaxInt64 {
-		return Record{}, fmt.Errorf("evstream: checkpoint cycle %d overflows", cycle)
-	}
-	plen, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return Record{}, fmt.Errorf("evstream: truncated checkpoint length: %w", err)
-	}
-	if plen > maxCheckpointLen {
-		return Record{}, fmt.Errorf("evstream: checkpoint payload %d bytes exceeds the %d cap",
-			plen, maxCheckpointLen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(d.r, payload); err != nil {
-		return Record{}, fmt.Errorf("evstream: truncated checkpoint payload: %w", err)
-	}
-	return Record{Kind: RecCheckpoint, Cycle: int64(cycle), Checkpoint: payload}, nil
+	return ev, nil
 }
 
 // SeekCycle scans forward to the first event at or past cycle and
-// returns it (checkpoint records along the way are skipped). The
-// returned event is consumed; the next Next call continues after it.
-// A stream that ends first returns ErrPastEnd annotated with the last
-// cycle seen.
+// returns it. The returned event is consumed; the next Next call
+// continues after it. A stream that ends first returns ErrPastEnd
+// annotated with the last cycle seen.
 func (d *Reader) SeekCycle(cycle int64) (core.PipeEvent, error) {
 	last := int64(-1)
 	for {
-		rec, err := d.Next()
+		ev, err := d.Next()
 		if err == io.EOF {
 			return core.PipeEvent{}, fmt.Errorf("%w: want cycle %d, stream ends at cycle %d",
 				ErrPastEnd, cycle, last)
@@ -434,16 +335,9 @@ func (d *Reader) SeekCycle(cycle int64) (core.PipeEvent, error) {
 		if err != nil {
 			return core.PipeEvent{}, err
 		}
-		last = rec.Cycle
-		if rec.Kind == RecEvent && rec.Event.Cycle >= cycle {
-			return rec.Event, nil
+		last = ev.Cycle
+		if ev.Cycle >= cycle {
+			return ev, nil
 		}
 	}
-}
-
-// Unread pushes rec back so the next Next call returns it again; one
-// record deep, mirroring bufio.
-func (d *Reader) Unread(rec Record) {
-	d.peeked = true
-	d.peekRec = rec
 }

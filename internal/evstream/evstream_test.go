@@ -73,17 +73,14 @@ func TestRoundTrip(t *testing.T) {
 		}
 		var got []core.PipeEvent
 		for {
-			rec, err := d.Next()
+			ev, err := d.Next()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec.Kind != RecEvent {
-				t.Fatalf("unexpected record kind %d", rec.Kind)
-			}
-			got = append(got, rec.Event)
+			got = append(got, ev)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%v: decoded %d events, recorded %d", scheme, len(got), len(want))
@@ -110,44 +107,6 @@ func TestEventDensity(t *testing.T) {
 	}
 	if perEvent := float64(len(blob)) / float64(len(seen)); perEvent > 6 {
 		t.Errorf("stream averages %.2f bytes/event, want <= 6", perEvent)
-	}
-}
-
-// TestCheckpointRecords: checkpoints interleave with events and decode
-// back with their cycle and payload intact.
-func TestCheckpointRecords(t *testing.T) {
-	var buf bytes.Buffer
-	rec, err := NewRecorder(&buf, Header{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Event(core.PipeEvent{Cycle: 3, Seq: 1, Kind: core.EvIssue})
-	if err := rec.Checkpoint(10, []byte(`{"cycle":10}`)); err != nil {
-		t.Fatal(err)
-	}
-	rec.Event(core.PipeEvent{Cycle: 12, Seq: 2, Kind: core.EvComplete})
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := d.Next()
-	if err != nil || r1.Kind != RecEvent || r1.Event.Cycle != 3 {
-		t.Fatalf("first record %+v, %v", r1, err)
-	}
-	r2, err := d.Next()
-	if err != nil || r2.Kind != RecCheckpoint || r2.Cycle != 10 || string(r2.Checkpoint) != `{"cycle":10}` {
-		t.Fatalf("second record %+v, %v", r2, err)
-	}
-	r3, err := d.Next()
-	if err != nil || r3.Kind != RecEvent || r3.Event.Cycle != 12 || r3.Event.Seq != 2 {
-		t.Fatalf("third record %+v, %v", r3, err)
-	}
-	if _, err := d.Next(); err != io.EOF {
-		t.Fatalf("want io.EOF at end, got %v", err)
 	}
 }
 
@@ -186,38 +145,6 @@ func TestSeekCycle(t *testing.T) {
 	}
 }
 
-// TestUnread: a pushed-back record comes out again before the stream
-// continues.
-func TestUnread(t *testing.T) {
-	var buf bytes.Buffer
-	rec, err := NewRecorder(&buf, Header{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Event(core.PipeEvent{Cycle: 1, Seq: 1, Kind: core.EvIssue})
-	rec.Event(core.PipeEvent{Cycle: 2, Seq: 2, Kind: core.EvComplete})
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := d.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Unread(r1)
-	again, err := d.Next()
-	if err != nil || again.Kind != r1.Kind || again.Event != r1.Event {
-		t.Fatalf("unread record came back as %+v, %v", again, err)
-	}
-	r2, err := d.Next()
-	if err != nil || r2.Event.Seq != 2 {
-		t.Fatalf("stream did not continue after unread: %+v, %v", r2, err)
-	}
-}
-
 // TestDecoderRejects pins the validation surface: bad magic, reserved
 // bits, oversized frames and truncation all error cleanly.
 func TestDecoderRejects(t *testing.T) {
@@ -243,8 +170,7 @@ func TestDecoderRejects(t *testing.T) {
 		"spurious PC flag":     {evHasPC | byte(core.EvIssue), 0},
 		"missing PC flag":      {byte(core.EvFetch), 0},
 		"truncated seq delta":  {byte(core.EvIssue)},
-		"oversized checkpoint": {ctlCheckpoint, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
-		"truncated checkpoint": {ctlCheckpoint, 0x00, 0x05, 'a', 'b'},
+		"control record":       {ctlBit | 0x01, 0x00, 0x05, 'a', 'b'},
 		"bad event class":      {evHasPC | byte(core.EvFetch), 0, 0, byte(isa.NumClasses)},
 		"cycle delta overflow": {cycVarint << evCycShift, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
 	}

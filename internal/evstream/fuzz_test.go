@@ -10,8 +10,7 @@ import (
 )
 
 // validStreamBytes builds a small well-formed stream — events across
-// cycle-delta shapes plus an interleaved checkpoint — for the seed
-// corpus.
+// cycle-delta shapes — for the seed corpus.
 func validStreamBytes(tb testing.TB) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -28,13 +27,8 @@ func validStreamBytes(tb testing.TB) []byte {
 		{Cycle: 10, Seq: 1, Kind: core.EvSquash},
 		{Cycle: 11, Seq: 0, Kind: core.EvRetire},
 	}
-	for i, ev := range events {
+	for _, ev := range events {
 		rec.Event(ev)
-		if i == 3 {
-			if err := rec.Checkpoint(9, []byte(`{"cycle":9}`)); err != nil {
-				tb.Fatal(err)
-			}
-		}
 	}
 	if err := rec.Flush(); err != nil {
 		tb.Fatal(err)
@@ -44,7 +38,7 @@ func validStreamBytes(tb testing.TB) []byte {
 
 // FuzzEvstreamDecoder feeds arbitrary bytes to the stream decoder. The
 // contract under attack: truncated pages, delta overflow, reserved
-// bits and corrupt checkpoint headers must all surface as errors —
+// bits and control records must all surface as errors —
 // never a panic, never an out-of-range event, never unbounded output
 // from bounded input, and errors must stay sticky.
 func FuzzEvstreamDecoder(f *testing.F) {
@@ -60,9 +54,10 @@ func FuzzEvstreamDecoder(f *testing.F) {
 	overflow := append(append([]byte{}, valid...),
 		cycVarint<<evCycShift, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01)
 	f.Add(overflow)
-	// Corrupt checkpoint header: giant declared payload length.
+	// A control record: bit 7 is reserved with none defined, so the
+	// decoder must reject this byte rather than skip a payload.
 	f.Add(append(append([]byte{}, valid...),
-		ctlCheckpoint, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F))
+		ctlBit|0x01, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := NewReader(bytes.NewReader(data))
@@ -74,7 +69,7 @@ func FuzzEvstreamDecoder(f *testing.F) {
 		n := 0
 		var lastCycle int64
 		for {
-			rec, err := d.Next()
+			ev, err := d.Next()
 			if err == io.EOF {
 				break
 			}
@@ -84,101 +79,20 @@ func FuzzEvstreamDecoder(f *testing.F) {
 				}
 				break
 			}
-			switch rec.Kind {
-			case RecEvent:
-				ev := rec.Event
-				if ev.Kind >= 8 {
-					t.Fatalf("decoder returned out-of-range event kind %d", ev.Kind)
-				}
-				if ev.Class >= isa.NumClasses {
-					t.Fatalf("decoder returned out-of-range class %d", ev.Class)
-				}
-				if ev.Cycle < lastCycle {
-					t.Fatalf("event cycles went backwards: %d after %d", ev.Cycle, lastCycle)
-				}
-				lastCycle = ev.Cycle
-			case RecCheckpoint:
-				if rec.Cycle < 0 {
-					t.Fatalf("decoder returned negative checkpoint cycle %d", rec.Cycle)
-				}
-				if len(rec.Checkpoint) > maxCheckpointLen {
-					t.Fatalf("decoder returned %d-byte checkpoint payload", len(rec.Checkpoint))
-				}
-			default:
-				t.Fatalf("decoder returned unknown record kind %d", rec.Kind)
+			if ev.Kind >= 8 {
+				t.Fatalf("decoder returned out-of-range event kind %d", ev.Kind)
 			}
+			if ev.Class >= isa.NumClasses {
+				t.Fatalf("decoder returned out-of-range class %d", ev.Class)
+			}
+			if ev.Cycle < lastCycle {
+				t.Fatalf("event cycles went backwards: %d after %d", ev.Cycle, lastCycle)
+			}
+			lastCycle = ev.Cycle
 			n++
 			if n > maxRecords {
 				t.Fatalf("decoded %d records from %d input bytes", n, len(data))
 			}
-		}
-	})
-}
-
-// FuzzCheckpointRoundTrip drives Recorder->Reader with fuzz-shaped
-// checkpoint payloads interleaved among events and asserts exact
-// recovery of cycles and payload bytes.
-func FuzzCheckpointRoundTrip(f *testing.F) {
-	f.Add(int64(5), []byte(`{"cycle":5}`), uint8(3))
-	f.Add(int64(0), []byte{}, uint8(0))
-	f.Add(int64(1<<40), bytes.Repeat([]byte{0xAB}, 4096), uint8(200))
-	f.Fuzz(func(t *testing.T, cycle int64, payload []byte, nRaw uint8) {
-		if cycle < 0 {
-			cycle = -cycle
-		}
-		if cycle < 0 { // math.MinInt64
-			cycle = 0
-		}
-		n := int(nRaw) % 32
-
-		var buf bytes.Buffer
-		rec, err := NewRecorder(&buf, Header{Spec: "fuzz-ckpt"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			rec.Event(core.PipeEvent{Cycle: int64(i), Seq: int64(i), Kind: core.EvIssue})
-		}
-		if err := rec.Checkpoint(cycle, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.Checkpoint(cycle, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.Flush(); err != nil {
-			t.Fatal(err)
-		}
-
-		d, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		events, ckpts := 0, 0
-		for {
-			r, err := d.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch r.Kind {
-			case RecEvent:
-				events++
-			case RecCheckpoint:
-				if r.Cycle != cycle {
-					t.Fatalf("checkpoint cycle %d round-tripped to %d", cycle, r.Cycle)
-				}
-				if !bytes.Equal(r.Checkpoint, payload) {
-					t.Fatalf("checkpoint payload corrupted: %d bytes in, %d out",
-						len(payload), len(r.Checkpoint))
-				}
-				ckpts++
-			}
-		}
-		if events != n || ckpts != 2 {
-			t.Fatalf("round trip returned %d events and %d checkpoints, want %d and 2",
-				events, ckpts, n)
 		}
 	})
 }

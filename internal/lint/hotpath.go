@@ -60,13 +60,9 @@ var (
 		"monitor": {"record", "cycleEnd"},
 	}
 	// coldHookMethods are the sanctioned allocation points of the
-	// policy and checker interfaces: reset sizes state before the run,
-	// finish folds results after it, and the snapshot/restore pair runs
-	// only from the checkpoint trigger outside the cycle loop.
-	coldHookMethods = map[string]bool{
-		"reset": true, "finish": true,
-		"snapshotState": true, "restoreState": true,
-	}
+	// policy and checker interfaces: reset sizes state before the run
+	// and finish folds results after it.
+	coldHookMethods = map[string]bool{"reset": true, "finish": true}
 	// coldIfaceMethods are interface-conformance trivia excluded along
 	// with the cold hooks when a policy/checker type's methods are
 	// swept into the manifest.
@@ -148,7 +144,7 @@ func coreManifest(u *Unit, p *Package) map[string]bool {
 // sink tap the machine calls once per pipeline event, and the page
 // flush it leans on. Recording must preserve the simulator's
 // zero-allocation cycle loop, so these face the same escape gate as
-// the core. Setup, checkpointing and the whole decode side are cold.
+// the core. Setup and the whole decode side are cold.
 var evstreamHotFuncs = []string{"Recorder.Event", "Recorder.flushPage"}
 
 // evstreamManifest computes the hot function set for the evstream
@@ -207,8 +203,8 @@ func ServeEscape(module string) *Escape {
 // the front end makes for every fetched branch and the update the
 // resolve path makes for every executed one, plus every component
 // helper they drive — the combined tables, the TAGE tagged tables and
-// their hash/allocation machinery, the BTB and the RAS. Construction,
-// Reset and the State/RestoreState checkpoint pair are cold.
+// their hash/allocation machinery, the BTB and the RAS. Construction
+// and Reset are cold.
 var bpredHotFuncs = []string{
 	"Predictor.Lookup", "Predictor.Update",
 	"Predictor.PushRAS", "Predictor.PopRAS",
@@ -236,7 +232,7 @@ func BpredEscape(module string) *Escape {
 // calls DemandUse and Observe on every first-issue load execution and
 // MarkIssued on every fired prefetch, so all three (and the slot hash
 // they share) live inside the simulator's zero-allocation cycle loop.
-// Construction, Reset and the checkpoint pair are cold.
+// Construction and Reset are cold.
 var prefetchHotFuncs = []string{
 	"Prefetcher.Observe", "Prefetcher.MarkIssued", "Prefetcher.DemandUse",
 	"Prefetcher.slot", "len64",

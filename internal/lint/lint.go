@@ -3,7 +3,8 @@
 // proves the repository's structural invariants at compile time — the
 // determinism contract of the simulator packages, the allocation-free
 // hot path, replay-policy and checker registry conformance, stats
-// completeness, and context hygiene in the batch engine.
+// completeness, context hygiene in the batch engine, a frozen wire
+// API, and concurrency discipline in the threaded packages.
 //
 // The framework loads every requested package from source, type-checks
 // it against the module, and hands the typed syntax to a fixed suite
@@ -15,13 +16,11 @@
 // (the older `//lint:allow <rule> <reason>` spelling is equivalent) on
 // the offending line or the line above it. Every waiver must give a
 // reason — a bare pragma is itself a finding — and the full inventory
-// is printable with `repolint -waivers`. The determinism, escape,
-// snapshot and wireapi rules accept no pragmas at all — those
-// invariants are load-bearing for the reproduction (bit-identical
-// reruns and restores, a frozen wire format, zero-allocation cycle
-// loop), so a waiver is itself reported as a finding; the snapshot
-// rule's sanctioned exclusions live in its reviewed manifest instead
-// (see snapshot_manifest.go).
+// is printable with `repolint -waivers`. The determinism, escape and
+// wireapi rules accept no pragmas at all — those invariants are
+// load-bearing for the reproduction (bit-identical reruns, a frozen
+// wire format, zero-allocation cycle loop), so a waiver is itself
+// reported as a finding.
 package lint
 
 import (
@@ -144,15 +143,12 @@ func (u *Unit) relFile(name string) string {
 const rulePragma = "pragma"
 
 // noPragmaRules are the rules whose findings cannot be allow-listed:
-// the determinism contract, the zero-allocation hot path, checkpoint
-// completeness and the frozen wire API are the repository's spine, and
-// a local waiver would quietly void the global guarantee they exist to
-// give. The snapshot rule's sanctioned gaps go through its reviewed
-// manifest (snapshot_manifest.go), never through pragmas.
+// the determinism contract, the zero-allocation hot path and the
+// frozen wire API are the repository's spine, and a local waiver would
+// quietly void the global guarantee they exist to give.
 var noPragmaRules = map[string]bool{
 	"determinism": true,
 	"escape":      true,
-	"snapshot":    true,
 	"wireapi":     true,
 }
 

@@ -113,22 +113,6 @@ func TestContextFixture(t *testing.T) {
 	golden(t, "ctxfix", findings)
 }
 
-func TestSnapshotFixture(t *testing.T) {
-	pkg := fixturePkg(t, "snapfix")
-	findings := runFixture(t, "snapfix", &lint.SnapshotComplete{
-		Pairs: []lint.SnapshotPair{{PkgPath: pkg, State: "State", Restore: "RestoreState"}},
-		Waivers: map[string]string{
-			// Sanctioned gap — silent.
-			"snapfix.widget.scratch": "fixture scratch buffer, empty at every snapshot boundary",
-			// Both methods handle clock — stale-waiver finding.
-			"snapfix.widget.clock": "stale on purpose: the pair handles this field",
-			// No such field — stale-entry finding.
-			"snapfix.widget.missing": "stale on purpose: the field does not exist",
-		},
-	})
-	golden(t, "snapfix", findings)
-}
-
 func TestWireAPIFixture(t *testing.T) {
 	findings := runFixture(t, "apifix", &lint.WireAPI{
 		PkgPath:      fixturePkg(t, "apifix"),
@@ -205,8 +189,8 @@ func TestJSONSchema(t *testing.T) {
 
 // TestRepoIsClean is the meta-test: the live tree must pass the full
 // production suite with zero findings — and therefore with zero
-// pragmas on the determinism, escape, snapshot and wireapi rules,
-// since those waivers are themselves findings.
+// pragmas on the determinism, escape and wireapi rules, since those
+// waivers are themselves findings.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module lint is slow under -short")

@@ -89,14 +89,11 @@ func TestCoreManifestCoverage(t *testing.T) {
 		}
 	}
 
-	// Sanctioned cold paths stay out: reset/finish may allocate, failf
-	// and traceWindow run only on violations, and the checkpoint
-	// snapshot/restore pair runs outside the cycle loop.
+	// Sanctioned cold paths stay out: reset/finish may allocate, and
+	// failf and traceWindow run only on violations.
 	for _, key := range []string{
 		"tkselPolicy.reset", "serialPolicy.finish",
 		"monitor.failf", "monitor.traceWindow", "Machine.init",
-		"tkselPolicy.snapshotState", "tkselPolicy.restoreState",
-		"serialPolicy.snapshotState", "serialPolicy.restoreState",
 	} {
 		if manifest[key] {
 			t.Errorf("manifest wrongly includes cold function %s", key)
@@ -106,7 +103,7 @@ func TestCoreManifestCoverage(t *testing.T) {
 
 // TestEvstreamManifestCoverage pins the event-stream recorder's escape
 // gate: the per-event sink tap and its page flush are watched, while
-// setup, checkpointing and the decoder stay cold.
+// setup and the decoder stay cold.
 func TestEvstreamManifestCoverage(t *testing.T) {
 	u, err := Load(".", []string{"./internal/evstream"})
 	if err != nil {
@@ -126,7 +123,7 @@ func TestEvstreamManifestCoverage(t *testing.T) {
 		}
 	}
 	for _, key := range []string{
-		"NewRecorder", "Recorder.Checkpoint", "Recorder.Flush",
+		"NewRecorder", "Recorder.Flush",
 		"Reader.Next", "Reader.decode", "Reader.SeekCycle",
 	} {
 		if manifest[key] {
@@ -137,8 +134,8 @@ func TestEvstreamManifestCoverage(t *testing.T) {
 
 // TestFrontendManifestCoverage pins the pluggable-frontend escape
 // gates: the predictor's per-branch path (both organisations) and the
-// prefetcher's per-load path are watched, while construction, Reset
-// and the checkpoint pairs stay cold.
+// prefetcher's per-load path are watched, while construction and
+// Reset stay cold.
 func TestFrontendManifestCoverage(t *testing.T) {
 	u, err := Load(".", []string{"./internal/bpred", "./internal/prefetch"})
 	if err != nil {
@@ -163,7 +160,7 @@ func TestFrontendManifestCoverage(t *testing.T) {
 			t.Errorf("bpred manifest misses per-branch function %s", key)
 		}
 	}
-	for _, key := range []string{"New", "Predictor.Reset", "Predictor.State", "Predictor.RestoreState"} {
+	for _, key := range []string{"New", "Predictor.Reset"} {
 		if bpm[key] {
 			t.Errorf("bpred manifest wrongly includes cold function %s", key)
 		}
@@ -175,59 +172,9 @@ func TestFrontendManifestCoverage(t *testing.T) {
 			t.Errorf("prefetch manifest misses per-load function %s", key)
 		}
 	}
-	for _, key := range []string{"New", "Prefetcher.Reset", "Prefetcher.State", "Prefetcher.RestoreState"} {
+	for _, key := range []string{"New", "Prefetcher.Reset"} {
 		if pfm[key] {
 			t.Errorf("prefetch manifest wrongly includes cold function %s", key)
-		}
-	}
-}
-
-// TestSnapshotManifestCoverage pins the snapshot manifest the same way
-// the escape-gate tests pin theirs: the live tree must come back with
-// zero findings (no unwaived gaps, no stale waivers), the
-// deliberately-absent fields must be in the manifest, and the fields a
-// checkpoint actually carries must NOT be — so neither the manifest
-// nor the State/Restore pairs can drift silently.
-func TestSnapshotManifestCoverage(t *testing.T) {
-	u, err := Load(".", []string{
-		"./internal/cache", "./internal/bpred", "./internal/prefetch",
-		"./internal/token", "./internal/vpred", "./internal/smpred",
-		"./internal/core",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := DefaultSnapshotComplete(u.Module)
-	if err := sc.Check(u); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range u.Findings() {
-		t.Errorf("%s", f)
-	}
-
-	// Sanctioned gaps stay in the manifest: derived geometry, scratch
-	// buffers, harness wiring, the non-serializable stream.
-	for _, key := range []string{
-		"core.Machine.src", "core.Machine.mon", "core.Machine.ckptFn",
-		"core.Machine.killStack", "cache.Hierarchy.epochLen",
-		"token.Allocator.n", "bpred.Predictor.cfg",
-		"core.loaddelayPolicy.maxLat",
-	} {
-		if _, ok := sc.Waivers[key]; !ok {
-			t.Errorf("snapshot manifest misses sanctioned gap %s", key)
-		}
-	}
-
-	// Fields the checkpoint pairs carry must not be waived — a waiver
-	// for a handled field is the stale-entry finding the analyzer
-	// reports, so the manifest going stale fails this test twice over.
-	for _, key := range []string{
-		"core.Machine.stats", "core.Machine.cycle", "core.Machine.win",
-		"cache.Cache.sets", "token.Allocator.holder",
-		"bpred.Predictor.history", "vpred.Predictor.table",
-	} {
-		if _, ok := sc.Waivers[key]; ok {
-			t.Errorf("snapshot manifest wrongly waives checkpointed field %s", key)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package prefetch
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // refEntry mirrors one stride-table slot in the reference model.
 type refEntry struct {
@@ -72,24 +68,21 @@ func (r *refModel) demandUse(la uint64) bool {
 	return false
 }
 
-// FuzzStridePrefetcher holds the stride prefetcher to three properties
+// FuzzStridePrefetcher holds the stride prefetcher to two properties
 // over arbitrary operation streams and geometries:
 //
 //   - every Observe/MarkIssued/DemandUse outcome matches the naive
 //     reference model exactly (tables, tags, confidence, wrap checks);
 //   - a fired prefetch address is never zero and never the demand
-//     address itself — invalid fills cannot reach the cache hierarchy;
-//   - a State snapshot taken mid-stream, serialized through JSON and
-//     restored into a fresh prefetcher continues bit-identically: same
-//     outcomes on the remaining stream, byte-identical final State.
+//     address itself — invalid fills cannot reach the cache hierarchy.
 func FuzzStridePrefetcher(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint16(4),
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(1),
 		[]byte{0, 1, 8, 0, 1, 8, 0, 1, 8, 0, 1, 8, 2, 1, 8, 3, 1, 8})
-	f.Add(uint8(2), uint8(3), uint8(2), uint8(0), uint16(0),
+	f.Add(uint8(2), uint8(3), uint8(2), uint8(0),
 		[]byte{0, 7, 0xf8, 0, 7, 0xf8, 0, 7, 0xf8, 1, 7, 31})
-	f.Add(uint8(1), uint8(7), uint8(3), uint8(3), uint16(9),
+	f.Add(uint8(1), uint8(7), uint8(3), uint8(3),
 		[]byte{0, 1, 1, 2, 2, 2, 3, 2, 2, 0, 1, 1, 0, 1, 1, 0, 1, 1})
-	f.Fuzz(func(t *testing.T, entLog, tagBits, minConf, dist uint8, split uint16, data []byte) {
+	f.Fuzz(func(t *testing.T, entLog, tagBits, minConf, dist uint8, data []byte) {
 		cfg := Config{
 			Kind:          KindStride,
 			Entries:       1 << (3 + entLog%4),
@@ -101,31 +94,12 @@ func FuzzStridePrefetcher(f *testing.F) {
 		p := New(cfg)
 		ref := newRef(cfg)
 
-		var q *Prefetcher // restored twin, live after the snapshot point
 		nOps := len(data) / 3
-		splitAt := 0
-		if nOps > 0 {
-			splitAt = int(split) % nOps
-		}
 		var addrs [256]uint64
 		for i := range addrs {
 			addrs[i] = uint64(i+1) << 9
 		}
 		for op := 0; op < nOps; op++ {
-			if op == splitAt {
-				blob, err := json.Marshal(p.State())
-				if err != nil {
-					t.Fatal(err)
-				}
-				var st State
-				if err := json.Unmarshal(blob, &st); err != nil {
-					t.Fatal(err)
-				}
-				q = New(cfg)
-				if err := q.RestoreState(st); err != nil {
-					t.Fatalf("restore mid-stream: %v", err)
-				}
-			}
 			kind, pcSel, dSel := data[op*3]%4, data[op*3+1], int8(data[op*3+2])
 			switch kind {
 			case 0: // strided access at this PC
@@ -140,46 +114,18 @@ func FuzzStridePrefetcher(f *testing.F) {
 				if ok && (pa == 0 || pa == addr) {
 					t.Fatalf("op %d: fired invalid prefetch address %#x for demand %#x", op, pa, addr)
 				}
-				if q != nil {
-					qa, qok := q.Observe(pc, addr)
-					if qa != pa || qok != ok {
-						t.Fatalf("op %d: restored twin Observe = (%#x,%v), original (%#x,%v)",
-							op, qa, qok, pa, ok)
-					}
-				}
 			case 1: // absolute jump, breaking the stride
 				addrs[pcSel] = uint64(pcSel)<<12 | uint64(dSel)&0xff
 			case 2:
 				la := uint64(pcSel)<<6 | uint64(uint8(dSel))
 				p.MarkIssued(la)
 				ref.markIssued(la)
-				if q != nil {
-					q.MarkIssued(la)
-				}
 			default:
 				la := uint64(pcSel)<<6 | uint64(uint8(dSel))
 				got, want := p.DemandUse(la), ref.demandUse(la)
 				if got != want {
 					t.Fatalf("op %d: DemandUse(%#x) = %v, reference %v", op, la, got, want)
 				}
-				if q != nil {
-					if qgot := q.DemandUse(la); qgot != got {
-						t.Fatalf("op %d: restored twin DemandUse = %v, original %v", op, qgot, got)
-					}
-				}
-			}
-		}
-		if q != nil {
-			pb, err := json.Marshal(p.State())
-			if err != nil {
-				t.Fatal(err)
-			}
-			qb, err := json.Marshal(q.State())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(pb, qb) {
-				t.Fatalf("final states diverged:\n  orig    %s\n  restored %s", pb, qb)
 			}
 		}
 	})

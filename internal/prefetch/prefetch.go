@@ -64,8 +64,7 @@ func ParseKind(s string) (Kind, error) {
 const MaxConfidence = 3
 
 // Config sizes the prefetcher. All fields are plain ints so the struct
-// stays comparable: pooled machines test substrate reuse with == and
-// checkpoints demand exact configuration equality.
+// stays comparable: pooled machines test substrate reuse with ==.
 type Config struct {
 	// Kind selects the organisation; KindOff builds no prefetcher.
 	Kind Kind

@@ -1,9 +1,6 @@
 package prefetch
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 func TestKindNamesRoundTrip(t *testing.T) {
 	names := KindNames()
@@ -217,42 +214,5 @@ func TestResetClearsEverything(t *testing.T) {
 	// The stride table must retrain from scratch.
 	if fired := observeAll(p, 0x400700, []uint64{0x1100, 0x1140, 0x1180}); len(fired) != 0 {
 		t.Fatalf("table state survived Reset: fired %#x", fired)
-	}
-}
-
-func TestStateRoundTrip(t *testing.T) {
-	p := New(Config{Kind: KindStride})
-	observeAll(p, 0x400800, []uint64{0x1000, 0x1040, 0x1080, 0x10c0})
-	p.MarkIssued(0x40)
-	blob, err := json.Marshal(p.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st State
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatal(err)
-	}
-	q := New(Config{Kind: KindStride})
-	if err := q.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	// The restored prefetcher continues exactly where the original was:
-	// same next fire, same mark bookkeeping.
-	pa, ok := p.Observe(0x400800, 0x1100)
-	qa, qok := q.Observe(0x400800, 0x1100)
-	if pa != qa || ok != qok {
-		t.Fatalf("restored prefetcher diverged: (%#x,%v) vs (%#x,%v)", pa, ok, qa, qok)
-	}
-	if !q.DemandUse(0x40) {
-		t.Error("mark lost in round trip")
-	}
-}
-
-func TestRestoreStateRejectsShapeMismatch(t *testing.T) {
-	small := DefaultStride()
-	small.Entries = 64
-	st := New(small).State()
-	if err := New(DefaultStride()).RestoreState(st); err == nil {
-		t.Fatal("RestoreState accepted a state of the wrong geometry")
 	}
 }

@@ -375,7 +375,6 @@ func (s *Server) progress() api.Progress {
 		EngineRuns: s.engineRuns.Load(),
 		Resumed:    snap.Resumed,
 		Retried:    snap.Retried,
-		Warmed:     snap.Warmed,
 		Insts:      snap.Insts,
 		ElapsedMS:  time.Since(s.start).Milliseconds(),
 	}

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/evstream"
 	"repro/internal/smpred"
 	"repro/internal/workload"
 )
@@ -55,19 +54,6 @@ type Options struct {
 	// file (recorded under the same Insts/Warmup/Seed) are replayed
 	// instead of re-simulated. Empty disables checkpointing.
 	Journal string
-	// CheckpointDir, when set, holds one machine-checkpoint artifact
-	// per spec (a single-checkpoint .evs stream, atomically rewritten
-	// every CheckpointEvery cycles). A later run of the same spec,
-	// warmup and seed — even with a different Insts — warm-starts from
-	// the artifact instead of simulating from cycle zero, and still
-	// produces bit-identical results. Checkpointing applies only to
-	// unmonitored runs (checker state is not serialized) and is
-	// best-effort: a failed save or a stale artifact falls back to a
-	// cold start, never fails the run.
-	CheckpointDir string
-	// CheckpointEvery is the checkpoint cadence in cycles; 0 takes the
-	// 50k-cycle default. Ignored without CheckpointDir.
-	CheckpointEvery int64
 	// OnProgress, when set, receives a progress snapshot after every
 	// state change (spec queued, simulation started/finished/failed).
 	// Calls are serialized by the engine; keep the callback fast.
@@ -464,11 +450,6 @@ func (e *Engine) attempt(ctx context.Context, spec Spec, cfg core.Config,
 			return nil, nil, fmt.Errorf("sim: %s: %w", spec, herr)
 		}
 	}
-	if e.opts.CheckpointDir != "" && cfg.Check == core.CheckOff {
-		if cerr := e.armCheckpoints(m, spec, cfg, program); cerr != nil {
-			return nil, nil, permanentError{fmt.Errorf("sim: %s: %w", spec, cerr)}
-		}
-	}
 	st, err := m.RunContext(ctx)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: %s: %w", spec, err)
@@ -478,35 +459,4 @@ func (e *Engine) attempt(ctx context.Context, spec Spec, cfg core.Config,
 	stc := st.Clone()
 	meter := *m.Meter()
 	return &RunOut{Spec: spec, Stats: &stc, Meter: &meter}, m, nil
-}
-
-// armCheckpoints warm-starts a machine from the spec's checkpoint
-// artifact when one fits (same machine, warmup and seed; the run's
-// retirement target not yet reached) and arms periodic artifact
-// rewrites for the run ahead. A missing, stale or corrupt artifact
-// falls back to the cold start the machine is already reset for; only
-// a failure to rebuild that cold state is an error.
-func (e *Engine) armCheckpoints(m *core.Machine, spec Spec, cfg core.Config,
-	program *workload.Program) error {
-	path := checkpointPath(e.opts.CheckpointDir, spec, e.opts)
-	if ms, err := loadCheckpoint(path); err == nil && ms != nil {
-		// A failed restore may leave the machine partially written;
-		// rebuild the cold state before running.
-		if rerr := m.Restore(cfg, program.NewGenerator(), ms); rerr == nil {
-			e.prog.warmed.Add(1)
-		} else if err := m.Reset(cfg, program.NewGenerator()); err != nil {
-			return err
-		}
-	}
-	every := e.opts.CheckpointEvery
-	if every <= 0 {
-		every = defaultCheckpointEvery
-	}
-	hdr := evstream.Header{Spec: spec.String(), Seed: e.opts.Seed, Note: "sim checkpoint"}
-	m.SetCheckpoints(every, func(st *core.MachineState) {
-		// Best-effort: a failed rewrite costs the next run its warm
-		// start, nothing more.
-		_ = saveCheckpoint(path, hdr, st)
-	})
-	return nil
 }

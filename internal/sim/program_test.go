@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 
 // TestEngineProgramMemo: an engine compiles each benchmark's workload
 // program once and every run of that bench walks the shared program —
-// batch runs, a retried run and a checkpoint warm start alike — with
-// results identical to a fresh engine's.
+// batch runs and a retried run alike — with results identical to a
+// fresh engine's.
 func TestEngineProgramMemo(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{Insts: 4_000, Warmup: 1_000, Seed: 5, Parallelism: 2}
@@ -65,30 +66,22 @@ func TestEngineProgramMemo(t *testing.T) {
 	if n := len(e.programs); n != 2 {
 		t.Errorf("engine holds %d programs after the retry, want 2", n)
 	}
+}
 
-	// Warm start: one engine leaves a checkpoint artifact; another
-	// compiles the bench for a different spec, then restores the
-	// artifact's spec from that same program.
-	ck := opts
-	ck.CheckpointDir = t.TempDir()
-	ck.CheckpointEvery = 1_000
-	warmSpec := specs[2] // mcf, TkSel, 4-wide
-	if _, err := Run(ctx, warmSpec, ck); err != nil {
-		t.Fatal(err)
+func assertSameRun(t *testing.T, a, b *RunOut) {
+	t.Helper()
+	if a.Stats.RetireHash != b.Stats.RetireHash {
+		t.Errorf("retire hash %016x vs %016x", a.Stats.RetireHash, b.Stats.RetireHash)
 	}
-	e2 := NewEngine(ck)
-	if _, err := e2.Run(ctx, Spec{Bench: "mcf", Scheme: core.PosSel}); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := e2.Run(ctx, warmSpec)
+	aj, err := json.Marshal(a.Stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := e2.Snapshot(); snap.Warmed != 1 {
-		t.Errorf("engine warm-started %d runs, want 1", snap.Warmed)
+	bj, err := json.Marshal(b.Stats)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := len(e2.programs); n != 1 {
-		t.Errorf("warm-start engine holds %d programs, want 1", n)
+	if string(aj) != string(bj) {
+		t.Errorf("stats diverged\n  a %s\n  b %s", aj, bj)
 	}
-	assertSameRun(t, outs[2], warm)
 }

@@ -17,7 +17,6 @@ type progress struct {
 	failed  atomic.Int64
 	resumed atomic.Int64
 	retried atomic.Int64
-	warmed  atomic.Int64
 	insts   atomic.Int64
 }
 
@@ -39,9 +38,6 @@ type Snapshot struct {
 	// Retried counts pooled-machine failures re-attempted on a fresh
 	// machine.
 	Retried int64
-	// Warmed counts runs warm-started from a checkpoint artifact
-	// instead of simulating from cycle zero.
-	Warmed int64
 	// Insts is the total retired (measured) instructions simulated so
 	// far; journal replays and cache hits do not count.
 	Insts int64
@@ -68,7 +64,6 @@ func (e *Engine) Snapshot() Snapshot {
 		Failed:  e.prog.failed.Load(),
 		Resumed: e.prog.resumed.Load(),
 		Retried: e.prog.retried.Load(),
-		Warmed:  e.prog.warmed.Load(),
 		Insts:   e.prog.insts.Load(),
 		Elapsed: time.Since(e.start),
 	}

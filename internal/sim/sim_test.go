@@ -49,6 +49,26 @@ func TestRunMemoizesAndNormalizes(t *testing.T) {
 	}
 }
 
+// TestNormalizeZeroOverrideAllocFree: normalizing a spec with no
+// frontend override allocates nothing. A store hit normalizes the same
+// spec twice (request parse and cache key), so a stray allocation here
+// lands on every cache-hit request the service answers.
+func TestNormalizeZeroOverrideAllocFree(t *testing.T) {
+	specs := []Spec{
+		{Bench: "mcf", Scheme: core.TkSel},
+		{Bench: "gcc", Wide8: true, Scheme: core.PosSel, Over: Overrides{Tokens: 8, ReplayQueue: true}},
+	}
+	for _, s := range specs {
+		var out Spec
+		if n := testing.AllocsPerRun(100, func() { out = s.Normalize() }); n != 0 {
+			t.Errorf("%s: Normalize allocated %.0f times per call, want 0", s, n)
+		}
+		if out.Over.Bpred != "" || out.Over.Prefetch != "" {
+			t.Errorf("%s: normalized frontend overrides %q/%q, want empty", s, out.Over.Bpred, out.Over.Prefetch)
+		}
+	}
+}
+
 func TestRunAllPartialResultsAndJoinedError(t *testing.T) {
 	e := NewEngine(testOpts())
 	specs := []Spec{

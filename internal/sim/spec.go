@@ -133,19 +133,25 @@ func (s Spec) Normalize() Spec {
 	// spelling of the default kind is the zero override, and other
 	// kinds take their canonical (lower-case) name. Unknown names pass
 	// through — the construction layers (simflag, the wire API) reject
-	// them before a spec reaches the engine.
-	if k, err := bpred.ParseKind(o.Bpred); err == nil {
-		if k == bpred.KindCombined {
-			o.Bpred = ""
-		} else {
-			o.Bpred = k.String()
+	// them before a spec reaches the engine. An empty name is already
+	// canonical and is not parsed: a failed parse builds an error, and
+	// every spec without a frontend override passes through here.
+	if o.Bpred != "" {
+		if k, err := bpred.ParseKind(o.Bpred); err == nil {
+			if k == bpred.KindCombined {
+				o.Bpred = ""
+			} else {
+				o.Bpred = k.String()
+			}
 		}
 	}
-	if k, err := prefetch.ParseKind(o.Prefetch); err == nil {
-		if k == prefetch.KindOff {
-			o.Prefetch = ""
-		} else {
-			o.Prefetch = k.String()
+	if o.Prefetch != "" {
+		if k, err := prefetch.ParseKind(o.Prefetch); err == nil {
+			if k == prefetch.KindOff {
+				o.Prefetch = ""
+			} else {
+				o.Prefetch = k.String()
+			}
 		}
 	}
 	return s
@@ -191,11 +197,15 @@ func (s Spec) config(opts Options) core.Config {
 	if o.PredEntries > 0 {
 		cfg.SMPred.Entries = o.PredEntries
 	}
-	if k, err := bpred.ParseKind(o.Bpred); err == nil && k == bpred.KindTAGE {
-		cfg.Bpred = bpred.DefaultTAGE()
+	if o.Bpred != "" {
+		if k, err := bpred.ParseKind(o.Bpred); err == nil && k == bpred.KindTAGE {
+			cfg.Bpred = bpred.DefaultTAGE()
+		}
 	}
-	if k, err := prefetch.ParseKind(o.Prefetch); err == nil && k == prefetch.KindStride {
-		cfg.Prefetch = prefetch.DefaultStride()
+	if o.Prefetch != "" {
+		if k, err := prefetch.ParseKind(o.Prefetch); err == nil && k == prefetch.KindStride {
+			cfg.Prefetch = prefetch.DefaultStride()
+		}
 	}
 	cfg.ReplayQueue = o.ReplayQueue
 	cfg.ValuePrediction = o.ValuePrediction

@@ -150,16 +150,17 @@ func (s *Sim) Scheme() (core.Scheme, error) {
 	return core.ParseScheme(s.SchemeName)
 }
 
-// ApplyFrontend writes the -bpred/-prefetch selections into a spec's
-// overrides. Default kinds stay the zero override, so commands that
-// never expose the flags produce unchanged specs and cache keys.
-func (s *Sim) ApplyFrontend(o *sim.Overrides) {
-	if k, err := bpred.ParseKind(s.BpredName); err == nil && k != bpred.KindCombined {
-		o.Bpred = k.String()
-	}
-	if k, err := prefetch.ParseKind(s.PrefetchName); err == nil && k != prefetch.KindOff {
-		o.Prefetch = k.String()
-	}
+// Spec is the base spec the flags select: -bench, -scheme and -wide8,
+// with -bpred/-prefetch as canonical (lower-case) overrides. Default
+// frontend kinds stay the zero override, so a command run without the
+// flags produces unchanged specs and cache keys. Every command builds
+// its specs from this one, after Validate.
+func (s *Sim) Spec() sim.Spec {
+	scheme, _ := s.Scheme() // Validate has already vetted it
+	return sim.Spec{
+		Bench: s.Bench, Wide8: s.Wide8, Scheme: scheme,
+		Over: sim.Overrides{Bpred: s.BpredName, Prefetch: s.PrefetchName},
+	}.Normalize()
 }
 
 // Validate checks the registered flag groups; the returned error is
@@ -224,9 +225,9 @@ func (s *Sim) Options() sim.Options {
 // backend (closing the engine's journal, or ending the remote progress
 // stream) and must be called before reading final results.
 //
-// With a remote backend, opts' engine-only fields (Parallelism,
-// Journal, checkpoints) are the server's business and are ignored
-// here; opts.OnProgress still works — it is fed from the server's SSE
+// With a remote backend, opts' engine-only fields (Parallelism and
+// Journal) are the server's business and are ignored here;
+// opts.OnProgress still works — it is fed from the server's SSE
 // progress stream, so the same status line renders either way. Remote
 // snapshots carry server-wide counters rather than this batch's own.
 func (s *Sim) Runner(ctx context.Context, opts sim.Options) (sim.Runner, func() error) {

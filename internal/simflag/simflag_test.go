@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -69,6 +70,37 @@ func TestOptionsMapping(t *testing.T) {
 	if got.Insts != 1000 || got.Warmup != 10 || got.Seed != 9 ||
 		got.Parallelism != 3 || got.Journal != "j.jsonl" {
 		t.Errorf("Options() = %+v", got)
+	}
+}
+
+// TestSpecMapping: the machine flags reach the base spec with the
+// frontend kinds in canonical lower-case form, and the default kinds
+// stay the zero override so flag-free runs keep their cache keys.
+func TestSpecMapping(t *testing.T) {
+	s := parse(t, registerAll,
+		"-bench", "mcf", "-bpred", "TAGE", "-prefetch", "stride", "-wide8", "-scheme", "TkSel")
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Spec{Bench: "mcf", Wide8: true, Scheme: core.TkSel,
+		Over: sim.Overrides{Bpred: "tage", Prefetch: "stride"}}
+	if got := s.Spec(); got != want {
+		t.Errorf("Spec() = %+v, want %+v", got, want)
+	}
+
+	for _, args := range [][]string{
+		nil,
+		{"-bpred", "combined", "-prefetch", "off"},
+		{"-bpred", "Combined", "-prefetch", "OFF"},
+	} {
+		s := parse(t, registerAll, args...)
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		want := sim.Spec{Bench: "gcc", Scheme: core.PosSel}
+		if got := s.Spec(); got != want {
+			t.Errorf("args %v: Spec() = %+v, want the zero-override %+v", args, got, want)
+		}
 	}
 }
 

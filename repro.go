@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/smpred"
 	"repro/internal/workload"
 )
@@ -185,24 +186,17 @@ func Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config4Wide()
-	if opts.Wide8 {
-		cfg = core.Config8Wide()
-	}
-	cfg.Scheme = opts.Scheme
-	if opts.Insts > 0 {
-		cfg.MaxInsts = opts.Insts
-	}
-	if opts.Warmup > 0 {
-		cfg.Warmup = opts.Warmup
-	} else {
-		cfg.Warmup = 60_000
-	}
-	if opts.Tokens > 0 {
-		cfg.Tokens = opts.Tokens
-	}
-	cfg.ValuePrediction = opts.ValuePrediction
-	cfg.ReplayQueue = opts.ReplayQueue
+	// The machine comes from the same Spec→Config mapping every command
+	// and the service use; only the workload is resolved here, since a
+	// custom Workload has no registry name a sim.Spec could carry.
+	cfg := sim.Spec{Wide8: opts.Wide8, Scheme: opts.Scheme, Over: sim.Overrides{
+		Tokens:          opts.Tokens,
+		ValuePrediction: opts.ValuePrediction,
+		ReplayQueue:     opts.ReplayQueue,
+	}}.Config(sim.Options{
+		Insts:  positiveOr(opts.Insts, 200_000),
+		Warmup: positiveOr(opts.Warmup, 60_000),
+	})
 	m, err := core.New(cfg, gen)
 	if err != nil {
 		return nil, err
@@ -295,4 +289,12 @@ func seedOr(s int64) int64 {
 		return 1
 	}
 	return s
+}
+
+// positiveOr returns v, or def when v is not positive.
+func positiveOr(v, def int64) int64 {
+	if v > 0 {
+		return v
+	}
+	return def
 }
